@@ -40,10 +40,10 @@ class _UsageError(Exception):
 def _cmd_knots(args: argparse.Namespace) -> int:
     if args.knots_cmd == "poly":
         try:
-            braid = parse_braid(args.braid)
+            poly = alexander_poly(parse_braid(args.braid))
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
-        print(format_univariate(alexander_poly(braid)))
+        print(format_univariate(poly))
         return 0
     raise _UsageError("unknown knots subcommand")
 
@@ -128,15 +128,26 @@ def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
     return 0 if report["pass"] else 1
 
 
-def _cmd_verify_trace(args: argparse.Namespace) -> int:
+def _load_report(path: str) -> dict:
     try:
-        with open(args.report, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8") as handle:
             report = json.load(handle)
     except OSError as exc:
-        raise _UsageError(f"cannot read report file {args.report}: {exc}") from exc
+        raise _UsageError(f"cannot read report file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _UsageError(f"report file is not JSON: {exc}") from exc
-    result = verify_trace_report(report, step=args.step)
+    if not isinstance(report, dict):
+        raise _UsageError("report file must hold a JSON object")
+    return report
+
+
+def _cmd_verify_trace(args: argparse.Namespace) -> int:
+    report = _load_report(args.report)
+    try:
+        result = verify_trace_report(report, step=args.step)
+    except ValueError as exc:
+        # a --step below 1
+        raise _UsageError(str(exc)) from exc
     print(canonical_json(result))
     return 0 if result["pass"] else 1
 
@@ -189,14 +200,7 @@ def _render_report(report: dict) -> str:
 
 
 def _cmd_report_render(args: argparse.Namespace) -> int:
-    try:
-        with open(args.report, encoding="utf-8") as handle:
-            report = json.load(handle)
-    except OSError as exc:
-        raise _UsageError(f"cannot read report file {args.report}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise _UsageError(f"report file is not JSON: {exc}") from exc
-    print(_render_report(report))
+    print(_render_report(_load_report(args.report)))
     return 0
 
 

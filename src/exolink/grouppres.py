@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 from .lattice import abelian_invariants_from_matrix
@@ -122,8 +123,13 @@ class GroupPresentation:
             rows.append(row)
         return rows
 
+    @cache
     def abelianization(self) -> tuple[int, tuple[int, ...]]:
-        """(free rank, torsion invariant factors > 1) of the abelianized group."""
+        """(free rank, torsion invariant factors > 1) of the abelianized group.
+
+        Memoized by value, so the Smith form and its certificate check run
+        once per distinct presentation.
+        """
         return abelian_invariants_from_matrix(
             self.exponent_matrix(), len(self.generators)
         )

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd as _int_gcd
 
 from .groupring import GroupRingElement, equal_up_to_units
@@ -223,12 +224,14 @@ def laurent_exact_div(num: GroupRingElement, den: GroupRingElement) -> GroupRing
     return GroupRingElement.from_terms(1, {(e,): c for e, c in quo.items()})
 
 
+@cache
 def alexander_poly(braid: BraidWord) -> GroupRingElement:
     """Normalized Alexander polynomial of the braid closure (a knot).
 
     Requires the closure to be a single component.  Computed from the
     reduced Burau matrix as det(I - B) * (1 - t) / (1 - t^n) and normalized
-    to the symmetric exponent window with value +1 at t = 1.
+    to the symmetric exponent window with value +1 at t = 1.  Memoized by
+    value: trace replay rebuilds equal braids as new objects.
     """
     if braid.closure_components() != 1:
         raise ValueError(

@@ -5,11 +5,15 @@ over ``fractions.Fraction`` (Sylvester's law of inertia), determinants from
 fraction-free integer elimination, and Smith normal forms carry unimodular
 transform certificates that are re-checked by multiplication.  No floating
 point anywhere.
+
+`invariants` is memoized by value: an equal matrix built anew (as trace
+replay does) hits the cache.  Results are frozen, so sharing them is safe.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, Sequence
 
 
@@ -55,7 +59,11 @@ class IntSymMatrix:
         """Evaluate the bilinear form on two coordinate vectors."""
         if len(x) != self.n or len(y) != self.n:
             raise ValueError("vector length does not match the form rank")
-        return sum(x[i] * self.rows[i][j] * y[j] for i in range(self.n) for j in range(self.n))
+        # mark classes are mostly unit or sparse vectors: skip zero coordinates
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
+        return sum(
+            xi * row[j] * yj for xi, row in zip(x, self.rows) if xi for j, yj in ys
+        )
 
     def is_even(self) -> bool:
         # x.x = sum x_i^2 d_i mod 2, so evenness is readable off the diagonal.
@@ -93,12 +101,12 @@ def direct_sum(*parts: IntSymMatrix) -> IntSymMatrix:
     return IntSymMatrix.from_rows(rows)
 
 
-def determinant(a: IntSymMatrix) -> int:
-    """Fraction-free Bareiss determinant (exact integer)."""
-    n = a.n
+def _bareiss(rows: Sequence[Sequence[int]]) -> int:
+    """Fraction-free Bareiss determinant of a square integer row list."""
+    n = len(rows)
     if n == 0:
         return 1
-    m = [list(row) for row in a.rows]
+    m = [list(row) for row in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -113,6 +121,11 @@ def determinant(a: IntSymMatrix) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def determinant(a: IntSymMatrix) -> int:
+    """Exact integer determinant of the form's Gram matrix."""
+    return _bareiss(a.rows)
 
 
 def congruence_diagonal(a: IntSymMatrix) -> tuple[Fraction, ...]:
@@ -175,6 +188,7 @@ class FormInvariants:
         return self.rank > 0 and (self.b_plus == 0 or self.b_minus == 0)
 
 
+@cache
 def invariants(a: IntSymMatrix) -> FormInvariants:
     diag = congruence_diagonal(a)
     b_plus = sum(1 for d in diag if d > 0)
@@ -320,27 +334,6 @@ def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     ]
 
 
-def _bareiss_general(mat: list[list[int]]) -> int:
-    n = len(mat)
-    if n == 0:
-        return 1
-    m = [list(row) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 @dataclass(frozen=True)
 class SmithCertificate:
     """U @ A @ V = D with U, V unimodular and D the Smith diagonal."""
@@ -355,9 +348,7 @@ class SmithCertificate:
         uav = _mat_mul(ua, [list(r) for r in self.v])
         if uav != [list(r) for r in self.d]:
             return False
-        if abs(_bareiss_general([list(r) for r in self.u])) != 1:
-            return False
-        if abs(_bareiss_general([list(r) for r in self.v])) != 1:
+        if abs(_bareiss(self.u)) != 1 or abs(_bareiss(self.v)) != 1:
             return False
         for x, y in zip(self.factors, self.factors[1:]):
             if y % x != 0:

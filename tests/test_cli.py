@@ -34,6 +34,11 @@ def test_knots_poly_trefoil(capsys):
 def test_knots_poly_bad_braid_exits_2(capsys):
     assert main(["knots", "poly", "2: s9"]) == 2
     assert "error:" in capsys.readouterr().err
+    # a two-component closure is a link, not a knot; asked twice in one
+    # process, so a memoized Alexander polynomial cannot hide the error
+    for _ in range(2):
+        assert main(["knots", "poly", "3: s1"]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_blocks_lists_invariants(capsys):
@@ -186,6 +191,15 @@ def test_verify_trace_bad_file_exits_2(tmp_path, capsys):
     garbled.write_text("{not json", encoding="utf-8")
     assert main(["verify-trace", str(garbled)]) == 2
     assert "not JSON" in capsys.readouterr().err
+    array = tmp_path / "array.json"
+    array.write_text("[]", encoding="utf-8")
+    for command in (["verify-trace"], ["report", "render"]):
+        assert main([*command, str(array)]) == 2
+        assert "error:" in capsys.readouterr().err
+    report = write_report(tmp_path)
+    for step in ("0", "-1"):
+        assert main(["verify-trace", str(report), "--step", step]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_report_render_human_summary(tmp_path, capsys):

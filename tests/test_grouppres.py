@@ -1,6 +1,7 @@
 """Finitely presented groups: parsing, Tietze engine, recognizers, block groups."""
 import pytest
 
+from exolink import lattice
 from exolink.grouppres import (
     GroupPresentation,
     default_budget,
@@ -42,6 +43,34 @@ def test_abelianization_of_surface_and_torus_groups():
     assert pi1_Z2().abelianization() == (2, ())
     assert pi1_Z().abelianization() == (1, ())
     assert pi1_product_surface(2).abelianization() == (6, ())
+
+
+def test_abelianization_memoized_by_value(monkeypatch):
+    GroupPresentation.abelianization.cache_clear()
+    calls = []
+    original = lattice.smith_normal_form
+
+    def counting(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(lattice, "smith_normal_form", counting)
+    p = GroupPresentation.parse("gens: a,b; rels: a^2, [a,b]")
+    q = GroupPresentation.parse("gens: a,b; rels: a^2, [a,b]")
+    assert p == q and p is not q
+    assert p.abelianization() == q.abelianization() == (1, (2,))
+    assert len(calls) == 1
+
+
+def test_unverified_smith_certificate_is_never_memoized(monkeypatch):
+    GroupPresentation.abelianization.cache_clear()
+    p = GroupPresentation.parse("gens: a,b,c; rels: a^3, [b,c]")
+    monkeypatch.setattr(lattice.SmithCertificate, "verify", lambda self, a: False)
+    for _ in range(2):
+        with pytest.raises(AssertionError):
+            p.abelianization()
+    monkeypatch.undo()
+    assert p.abelianization() == (2, (3,))
 
 
 def test_abelianization_with_torsion():

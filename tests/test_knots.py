@@ -3,6 +3,7 @@ Markov-move invariance, braid parsing."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exolink import knots
 from exolink.groupring import (
     GroupRingElement,
     equal_up_to_units,
@@ -48,6 +49,22 @@ def test_unknot_polynomial_is_one():
 
 def test_trefoil_matches_classical_value_exactly():
     assert format_univariate(alexander_poly(parse_braid("2: s1^3"))) == "t - 1 + t^-1"
+
+
+def test_alexander_poly_memoized_by_value(monkeypatch):
+    alexander_poly.cache_clear()
+    calls = []
+    original = knots._det_cofactor
+
+    def counting(rows):
+        calls.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(knots, "_det_cofactor", counting)
+    a, b = parse_braid("2: s1^3"), parse_braid("2: s1^3")
+    assert a == b and a is not b
+    assert alexander_poly(a) == alexander_poly(b)
+    assert len(calls) == 1
 
 
 def test_figure_eight_matches_classical_value_up_to_units():

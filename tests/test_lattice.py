@@ -4,6 +4,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 from hypothesis import given, settings, strategies as st
 
+from exolink import lattice
 from exolink.lattice import (
     IntSymMatrix,
     abelian_invariants_from_matrix,
@@ -46,6 +47,22 @@ def test_k3_style_direct_sum():
     assert inv.signature == -16
     assert inv.parity == "even"
     assert inv.unimodular
+
+
+def test_invariants_memoized_by_value(monkeypatch):
+    invariants.cache_clear()
+    calls = []
+    original = lattice.congruence_diagonal
+
+    def counting(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(lattice, "congruence_diagonal", counting)
+    a, b = e8_gram(), e8_gram()
+    assert a == b and a is not b
+    assert invariants(a) == invariants(b)
+    assert len(calls) == 1
 
 
 def test_is_even_method():
@@ -213,3 +230,17 @@ def test_smith_factors_divide_in_chain(data):
     nonzero = [f for f in cert.factors if f != 0]
     for a, b in zip(nonzero, nonzero[1:]):
         assert b % a == 0
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_pair_matches_dense_double_sum(data):
+    q = data.draw(small_symmetric())
+    vector = st.lists(st.integers(-3, 3), min_size=q.n, max_size=q.n)
+    x, y = data.draw(vector), data.draw(vector)
+    dense = sum(x[i] * q.entry(i, j) * y[j] for i in range(q.n) for j in range(q.n))
+    assert q.pair(x, y) == dense
+    with pytest.raises(ValueError):
+        q.pair(x[:-1], y)
+    with pytest.raises(ValueError):
+        q.pair(x, y + [0])
