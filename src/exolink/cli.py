@@ -146,7 +146,7 @@ def _cmd_verify_trace(args: argparse.Namespace) -> int:
     try:
         result = verify_trace_report(report, step=args.step)
     except ValueError as exc:
-        # a --step below 1
+        # a --step below 1, or records or a trace of the wrong shape
         raise _UsageError(str(exc)) from exc
     print(canonical_json(result))
     return 0 if result["pass"] else 1

@@ -306,15 +306,16 @@ def parse_presentation(text: str) -> GroupPresentation:
 # -- free products and gluing --------------------------------------------------
 
 
-def _disjoint_names(a: Sequence[str], b: Sequence[str]) -> tuple[str, ...]:
-    taken = set(a)
+def fresh_names(taken: Iterable[str], names: Iterable[str]) -> tuple[str, ...]:
+    """``names`` in order, each primed until it is new to ``taken`` and to
+    the names before it (generators, basis labels, mark labels)."""
+    used = set(taken)
     out = []
-    for name in b:
-        candidate = name
-        while candidate in taken:
-            candidate += "'"
-        taken.add(candidate)
-        out.append(candidate)
+    for name in names:
+        while name in used:
+            name += "'"
+        used.add(name)
+        out.append(name)
     return tuple(out)
 
 
@@ -323,7 +324,7 @@ def free_product(
 ) -> tuple[GroupPresentation, int]:
     """Disjoint union of presentations; returns (result, index offset for p2)."""
     offset = len(p1.generators)
-    names = p1.generators + _disjoint_names(p1.generators, p2.generators)
+    names = p1.generators + fresh_names(p1.generators, p2.generators)
     shifted = tuple(
         tuple(letter + offset if letter > 0 else letter - offset for letter in r)
         for r in p2.relators

@@ -1,24 +1,23 @@
 """Braid words, Alexander polynomials, and the twist-knot family.
 
-Two independent computation paths are kept deliberately separate:
+Two computation paths build different matrices from the braid:
 
-* the production path takes the reduced Burau representation of the braid,
-  a cofactor-expansion determinant over Z[t, t^-1], and the exact division
-  det(I - Burau(beta)) * (1 - t) / (1 - t^n);
+* the production path takes the reduced Burau representation of the braid
+  and the exact division det(I - Burau(beta)) * (1 - t) / (1 - t^n);
 * the oracle path builds a Wirtinger presentation of the closure directly
-  from the crossings and runs Fox free-derivative calculus through a
-  fraction-free Bareiss determinant.
+  from the crossings and takes one minor of its Fox free-derivative
+  Jacobian.
 
-They share nothing but the element type, so agreement between them is a
-meaningful check (and is asserted for the whole shipped family in tests).
+Both take their determinant with the one fraction-free Bareiss routine over
+Z[t, t^-1], which a test checks against an independent determinant; beyond
+that the paths share nothing, so their agreement (asserted for the whole
+shipped family in tests) checks the two matrix constructions.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
-from math import gcd as _int_gcd
 
 from .groupring import GroupRingElement, equal_up_to_units
 from .grouppres import GroupPresentation, Word, free_reduce
@@ -123,74 +122,7 @@ def braid_to_text(braid: BraidWord) -> str:
     return f"{braid.strands}: " + " ".join(chunks) if chunks else f"{braid.strands}:"
 
 
-# -- reduced Burau path ------------------------------------------------------
-
-
-def _burau_generator(strands: int, letter: int) -> list[list[GroupRingElement]]:
-    """Reduced (n-1)x(n-1) Burau matrix of a single signed Artin generator."""
-    n = strands
-    m = n - 1
-    i = abs(letter)
-    rows = [[_ONE if r == c else _ZERO for c in range(m)] for r in range(m)]
-    pos = letter > 0
-    j = i - 1
-    if m == 1:
-        rows[0][0] = _t(1, -1) if pos else _t(-1, -1)
-        return rows
-    if i == 1:
-        if pos:
-            rows[0][0] = _t(1, -1)
-            rows[1][0] = _ONE
-        else:
-            rows[0][0] = _t(-1, -1)
-            rows[1][0] = _t(-1, 1)
-    elif i == n - 1:
-        if pos:
-            rows[j - 1][j] = _t(1)
-            rows[j][j] = _t(1, -1)
-        else:
-            rows[j - 1][j] = _ONE
-            rows[j][j] = _t(-1, -1)
-    else:
-        if pos:
-            rows[j - 1][j] = _t(1)
-            rows[j][j] = _t(1, -1)
-            rows[j + 1][j] = _ONE
-        else:
-            rows[j - 1][j] = _ONE
-            rows[j][j] = _t(-1, -1)
-            rows[j + 1][j] = _t(-1, 1)
-    return rows
-
-
-def _mat_mul(a, b):
-    m, inner, n = len(a), len(b), len(b[0]) if b else 0
-    out = []
-    for r in range(m):
-        row = []
-        for c in range(n):
-            acc = _ZERO
-            for k in range(inner):
-                acc = acc + a[r][k] * b[k][c]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _det_cofactor(rows: list[list[GroupRingElement]]) -> GroupRingElement:
-    m = len(rows)
-    if m == 0:
-        return _ONE
-    if m == 1:
-        return rows[0][0]
-    acc = _ZERO
-    for c in range(m):
-        if rows[0][c].is_zero:
-            continue
-        minor = [[rows[r][cc] for cc in range(m) if cc != c] for r in range(1, m)]
-        term = rows[0][c] * _det_cofactor(minor)
-        acc = acc + term if c % 2 == 0 else acc - term
-    return acc
+# -- Laurent arithmetic shared by both paths ---------------------------------
 
 
 def laurent_exact_div(num: GroupRingElement, den: GroupRingElement) -> GroupRingElement:
@@ -224,6 +156,63 @@ def laurent_exact_div(num: GroupRingElement, den: GroupRingElement) -> GroupRing
     return GroupRingElement.from_terms(1, {(e,): c for e, c in quo.items()})
 
 
+def _bareiss_laurent(rows: list[list[GroupRingElement]]) -> GroupRingElement:
+    """Fraction-free determinant over Z[t, t^-1] (Bareiss 1968, exact division)."""
+    m = len(rows)
+    if m == 0:
+        return _ONE
+    # shift every row into Z[t] so intermediate divisions stay polynomial
+    work: list[list[GroupRingElement]] = []
+    total_shift = 0
+    for row in rows:
+        lows = [e.terms[0][0][0] for e in row if not e.is_zero]
+        shift = -min(lows) if lows and min(lows) < 0 else 0
+        total_shift += shift
+        work.append([e.shift((shift,)) for e in row])
+    sign = 1
+    prev = _ONE
+    for k in range(m - 1):
+        if work[k][k].is_zero:
+            pivot = next((i for i in range(k + 1, m) if not work[i][k].is_zero), None)
+            if pivot is None:
+                return _ZERO
+            work[k], work[pivot] = work[pivot], work[k]
+            sign = -sign
+        for i in range(k + 1, m):
+            for j in range(k + 1, m):
+                numer = work[i][j] * work[k][k] - work[i][k] * work[k][j]
+                work[i][j] = laurent_exact_div(numer, prev)
+        prev = work[k][k]
+    det = work[m - 1][m - 1] * sign
+    return det.shift((-total_shift,))
+
+
+# -- reduced Burau path ------------------------------------------------------
+
+
+# Column j = |letter| - 1 of the reduced Burau matrix of a letter, rows j-1,
+# j, j+1; every other column is the identity's.
+_BURAU_COLUMN = {1: (_t(1), _t(1, -1), _ONE), -1: (_ONE, _t(-1, -1), _t(-1))}
+
+
+def _burau_apply(rep: list[list[GroupRingElement]], letter: int) -> None:
+    """Right-multiply ``rep`` in place by the reduced Burau matrix of ``letter``.
+
+    That matrix is the identity outside column j = |letter| - 1, whose rows
+    j-1, j, j+1 hold (t, -t, 1) for a positive letter and (1, -t^-1, t^-1)
+    for a negative one, clipped to the matrix; so only column j changes.
+    """
+    j = abs(letter) - 1
+    column = _BURAU_COLUMN[1 if letter > 0 else -1]
+    lo, hi = max(j - 1, 0), min(j + 2, len(rep))
+    for row in rep:
+        acc = _ZERO
+        for k in range(lo, hi):
+            if not row[k].is_zero:
+                acc = acc + row[k] * column[k - j + 1]
+        row[j] = acc
+
+
 @cache
 def alexander_poly(braid: BraidWord) -> GroupRingElement:
     """Normalized Alexander polynomial of the braid closure (a knot).
@@ -240,15 +229,12 @@ def alexander_poly(braid: BraidWord) -> GroupRingElement:
     m = braid.strands - 1
     rep = [[_ONE if r == c else _ZERO for c in range(m)] for r in range(m)]
     for letter in braid.letters:
-        rep = _mat_mul(rep, _burau_generator(braid.strands, letter))
+        _burau_apply(rep, letter)
     delta = [
-        [
-            (_ONE if r == c else _ZERO) - rep[r][c]
-            for c in range(m)
-        ]
+        [(_ONE if r == c else _ZERO) - rep[r][c] for c in range(m)]
         for r in range(m)
     ]
-    det = _det_cofactor(delta)
+    det = _bareiss_laurent(delta)
     one_minus_t = _ONE - _t(1)
     one_minus_tn = _ONE - _t(braid.strands)
     raw = laurent_exact_div(det * one_minus_t, one_minus_tn)
@@ -353,130 +339,33 @@ def _fox_derivative_abelianized(relator: Word, gen: int) -> GroupRingElement:
     return GroupRingElement.from_terms(1, acc)
 
 
-def _bareiss_laurent(rows: list[list[GroupRingElement]]) -> GroupRingElement:
-    """Fraction-free determinant over Z[t, t^-1] (Bareiss with exact division)."""
-    m = len(rows)
-    if m == 0:
-        return _ONE
-    # shift every row into Z[t] so intermediate divisions stay polynomial
-    work: list[list[GroupRingElement]] = []
-    total_shift = 0
-    for row in rows:
-        lows = [e.terms[0][0][0] for e in row if not e.is_zero]
-        shift = -min(lows) if lows and min(lows) < 0 else 0
-        total_shift += shift
-        work.append([e.shift((shift,)) for e in row])
-    sign = 1
-    prev = _ONE
-    for k in range(m - 1):
-        if work[k][k].is_zero:
-            pivot = next((i for i in range(k + 1, m) if not work[i][k].is_zero), None)
-            if pivot is None:
-                return _ZERO
-            work[k], work[pivot] = work[pivot], work[k]
-            sign = -sign
-        for i in range(k + 1, m):
-            for j in range(k + 1, m):
-                numer = work[i][j] * work[k][k] - work[i][k] * work[k][j]
-                work[i][j] = laurent_exact_div(numer, prev)
-        prev = work[k][k]
-    det = work[m - 1][m - 1] * sign
-    return det.shift((-total_shift,))
-
-
-def _laurent_content_and_coeffs(p: GroupRingElement) -> tuple[int, list[int]]:
-    lo = p.terms[0][0][0]
-    hi = p.terms[-1][0][0]
-    dense = [0] * (hi - lo + 1)
-    for (e,), c in p.terms:
-        dense[e - lo] = c
-    content = 0
-    for c in dense:
-        content = _int_gcd(content, c)
-    return content, dense
-
-
-def laurent_gcd(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    """gcd in Z[t, t^-1], primitive and sign-normalized (unit ambiguity fixed).
-
-    Integer contents are gcd'd separately; the polynomial part runs Euclid
-    over exact rationals and is scaled back to a primitive integer result.
-    """
-    if a.is_zero:
-        return b
-    if b.is_zero:
-        return a
-    ca, da = _laurent_content_and_coeffs(a)
-    cb, db = _laurent_content_and_coeffs(b)
-
-    def trim(xs: list[Fraction]) -> list[Fraction]:
-        while xs and xs[-1] == 0:
-            xs.pop()
-        return xs
-
-    fa = trim([Fraction(c) for c in da])
-    fb = trim([Fraction(c) for c in db])
-    while fb:
-        # fa mod fb by long division over Q
-        rem = fa[:]
-        while len(rem) >= len(fb) and trim(rem):
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            q = rem[-1] / fb[-1]
-            off = len(rem) - len(fb)
-            for k in range(len(fb)):
-                rem[off + k] -= q * fb[k]
-            rem.pop()
-        fa, fb = fb, trim(rem)
-    denom_lcm = 1
-    for c in fa:
-        denom_lcm = denom_lcm * c.denominator // _int_gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in fa]
-    num_gcd = 0
-    for c in ints:
-        num_gcd = _int_gcd(num_gcd, c)
-    prim = [c // num_gcd for c in ints]
-    if prim[-1] < 0:
-        prim = [-c for c in prim]
-    scale = _int_gcd(ca, cb)
-    return GroupRingElement.from_terms(
-        1, {(e,): scale * c for e, c in enumerate(prim) if c}
-    )
-
-
 def fox_alexander(braid: BraidWord) -> GroupRingElement:
     """Alexander polynomial via Fox calculus on the Wirtinger presentation.
 
     Abelianizes the free-derivative Jacobian (all meridians to t).  The
-    columns of that matrix sum to zero, so one column is deleted for free;
-    the first elementary ideal is then generated by the delete-one-row
-    determinants (Bareiss, fraction-free), and their gcd is the polynomial.
-    This path never touches the Burau machinery.
+    columns of that matrix sum to zero, so one column is deleted for free,
+    and the minor that also drops the first row is the polynomial: for a
+    knot's Wirtinger presentation every first minor is +-t^k times the
+    Alexander polynomial (Crowell-Fox), so one minor is enough and no gcd
+    over the others is needed.  This path never touches the Burau matrix.
     """
     if braid.closure_components() != 1:
         raise ValueError("closure is not a knot")
     pres = wirtinger_presentation(braid)
     gens = len(pres.generators)
-    rels = list(pres.relators)
+    rels = pres.relators
     if not rels or gens <= 1:
         return normalize_alexander(_ONE)
-    matrix = [
+    minor = [
         [_fox_derivative_abelianized(r, g) for g in range(2, gens + 1)]
-        for r in rels
+        for r in rels[1:]
     ]
-    acc = _ZERO
-    for drop_row in range(len(rels)):
-        minor = [row for i, row in enumerate(matrix) if i != drop_row]
-        if len(minor) != gens - 1:
-            raise ValueError("Wirtinger matrix is not square; unexpected diagram")
-        det = _bareiss_laurent(minor)
-        if det.is_zero:
-            continue
-        acc = det if acc.is_zero else laurent_gcd(acc, det)
-    if acc.is_zero:
-        raise ValueError("all Alexander minors vanished; input is not a knot diagram")
-    return normalize_alexander(acc)
+    if len(minor) != gens - 1:
+        raise ValueError("Wirtinger matrix is not square; unexpected diagram")
+    det = _bareiss_laurent(minor)
+    if det.is_zero:
+        raise ValueError("the Alexander minor vanished; input is not a knot diagram")
+    return normalize_alexander(det)
 
 
 # -- the twist-knot family ----------------------------------------------------

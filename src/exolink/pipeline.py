@@ -28,10 +28,9 @@ from .grouppres import (
     recognize_surface,
 )
 from .knots import KnotRecord, braid_to_text, knot_from_spec
-from .lattice import IntSymMatrix, indefinite_unimodular_iso, invariants
+from .lattice import indefinite_unimodular_iso, invariants
 from .manifold import (
     ManifoldRecord,
-    MarkedSubmanifold,
     admissible_from_spec,
     canonical_json,
     invariant_tuple,
@@ -43,6 +42,7 @@ from .manifold import (
 )
 from .surgery import (
     SurgeryError,
+    _zero_log_transform,
     build_from_trace,
     connected_sum,
     dissolve_knot_surgery_after_stabilization,
@@ -777,63 +777,6 @@ def brunnian_certificate_section(rep, cfg: RecipeConfig, base, t2_label, z_recor
 # -- block lemma suite --------------------------------------------------------------
 
 
-def _zero_log_transform(m: ManifoldRecord, torus_label: str) -> ManifoldRecord:
-    """Multiplicity-zero log transform along a marked Lagrangian torus.
-
-    The regluing sends the meridian to the pushoff of the torus direction
-    named by the mark's second word, so the group is quotiented by that
-    word, the torus and its hyperbolic dual leave the second homology,
-    and the Euler characteristic is unchanged.  Lemma-suite scaffolding:
-    the result is rebuilt as a fresh record (no trace step), used only
-    for invariant-level comparisons.
-    """
-    mark = m.mark(torus_label)
-    if mark.kind != "torus" or mark.homology_class is None:
-        raise SurgeryError(f"{torus_label!r} is not a marked homology torus")
-    idx = mark.homology_class.index(1)
-    partner = next(
-        (j for j in range(m.form.n) if j != idx and m.form.entry(idx, j) != 0), None
-    )
-    if partner is None:
-        raise SurgeryError(f"{torus_label!r} has no hyperbolic dual to remove")
-    if len(mark.pi1_words) != 2:
-        raise SurgeryError(f"{torus_label!r} does not carry its two directions")
-    direction = m.pi1.word(mark.pi1_words[1])
-    removed = {idx, partner}
-    keep = [i for i in range(m.form.n) if i not in removed]
-    rows = [[m.form.entry(i, j) for j in keep] for i in keep]
-    marks = []
-    for old in m.marks:
-        if old.label == torus_label:
-            continue
-        cls = old.homology_class
-        if cls is not None and any(cls[i] for i in removed):
-            continue
-        marks.append(
-            MarkedSubmanifold(
-                kind=old.kind,
-                label=old.label,
-                homology_class=None if cls is None else tuple(cls[i] for i in keep),
-                pi1_words=old.pi1_words,
-                framing=old.framing,
-                flags=old.flags,
-                complement=old.complement,
-            )
-        )
-    return ManifoldRecord(
-        name=f"{m.name}_L0[{torus_label}]",
-        pi1=m.pi1.quotient_by_normal_closure([direction]),
-        euler=m.euler,
-        form=IntSymMatrix.from_rows(rows),
-        basis=tuple(m.basis[i] for i in keep),
-        sw=None,
-        sw_reason="untracked (zero log transform)",
-        rel_sw=(),
-        marks=tuple(marks),
-        flags=m.flags,
-    )
-
-
 def _tuple_check(name: str, left_label: str, left: dict, right_label: str, right: dict) -> dict:
     return {
         "name": name,
@@ -981,13 +924,25 @@ def verify_trace_report(report: dict, step: int | None = None) -> dict:
     replayed (clamped to each record's trace length) and the
     intermediate invariants are reported; no byte comparison is possible
     mid-trace.
+
+    Raises ValueError, naming the record, when ``records`` is not an
+    object or a record, its trace or a trace step is not the JSON shape a
+    report writes; a wrong-typed field inside a step, like a missing one,
+    becomes that record's ``error`` entry.
     """
     if step is not None and step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
+    records = report.get("records", {})
+    if not isinstance(records, dict):
+        raise ValueError("report 'records' must be an object")
     results = {}
-    for name in sorted(report.get("records", {})):
-        stored = report["records"][name]
+    for name in sorted(records):
+        stored = records[name]
+        if not isinstance(stored, dict):
+            raise ValueError(f"record {name!r} is not an object")
         trace = stored.get("trace", [])
+        if not isinstance(trace, list) or not all(isinstance(s, dict) for s in trace):
+            raise ValueError(f"record {name!r}: trace must be a list of objects")
         entry: dict = {"steps": len(trace)}
         try:
             if step is None:
@@ -998,7 +953,7 @@ def verify_trace_report(report: dict, step: int | None = None) -> dict:
                 partial = build_from_trace(trace[:upto])
                 entry["replayed_steps"] = upto
                 entry["invariants"] = invariant_tuple(partial)
-        except (ValueError, KeyError, SurgeryError) as exc:
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
             entry["error"] = str(exc)
             entry["identical"] = False
         results[name] = entry

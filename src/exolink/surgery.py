@@ -14,9 +14,13 @@ only when the surviving form certifies evenness.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .groupring import GroupRingElement, embed_knot_poly_at_class
 from .grouppres import (
     GroupPresentation,
+    free_product,
+    fresh_names,
     invert_word,
     shift_word,
     svk_glue,
@@ -67,28 +71,32 @@ class SurgeryError(ValueError):
     """An operation's hypotheses could not be certified from the record."""
 
 
-def _strip_complements(
-    marks: tuple[MarkedSubmanifold, ...]
-) -> tuple[MarkedSubmanifold, ...]:
-    out = []
-    for m in marks:
-        if m.complement is None:
-            out.append(m)
-        else:
-            out.append(
-                MarkedSubmanifold(
-                    m.kind, m.label, m.homology_class, m.pi1_words, m.framing, m.flags
-                )
-            )
-    return tuple(out)
+def _carry(mark: MarkedSubmanifold, move_class=None, **changes) -> MarkedSubmanifold:
+    """``mark`` carried through an operation into the new record.
+
+    ``move_class`` maps a homology class into the new basis (a mark without
+    a class keeps none), the complement model is dropped because every
+    operation changes the complement, and ``changes`` replace other fields.
+    """
+    cls = mark.homology_class
+    if move_class is not None and cls is not None:
+        cls = move_class(cls)
+    return replace(mark, homology_class=cls, complement=None, **changes)
 
 
-def _fresh_label(label: str, used: set[str]) -> str:
-    candidate = label
-    while candidate in used:
-        candidate += "'"
-    used.add(candidate)
-    return candidate
+def _relative_factors(
+    sw: GroupRingElement | None, marks: list[MarkedSubmanifold], labels: set[str]
+) -> tuple[tuple[str, GroupRingElement], ...]:
+    """sw * u(class) for each mark named in ``labels`` with a nonzero class."""
+    if sw is None:
+        return ()
+    return tuple(
+        sorted(
+            (m.label, sw * u_factor(len(m.homology_class), m.homology_class))
+            for m in marks
+            if m.label in labels and m.homology_class is not None and any(m.homology_class)
+        )
+    )
 
 
 # -- knot surgery ----------------------------------------------------------------
@@ -127,21 +135,12 @@ def knot_surgery(m: ManifoldRecord, torus_label: str, knot: KnotRecord) -> Manif
     surgered_flags = mark.flags
     if knot.braid.letters:
         surgered_flags = surgered_flags - {"complement_simply_connected"}
-    marks = []
-    for old in _strip_complements(m.marks):
-        if old.label == torus_label:
-            marks.append(
-                MarkedSubmanifold(
-                    kind=old.kind,
-                    label=old.label,
-                    homology_class=old.homology_class,
-                    pi1_words=old.pi1_words,
-                    framing=f"tau_K[{knot.name}]",
-                    flags=surgered_flags,
-                )
-            )
-        else:
-            marks.append(old)
+    marks = tuple(
+        _carry(old, framing=f"tau_K[{knot.name}]", flags=surgered_flags)
+        if old.label == torus_label
+        else _carry(old)
+        for old in m.marks
+    )
     step = {
         "op": "knot_surgery",
         "torus": torus_label,
@@ -158,7 +157,7 @@ def knot_surgery(m: ManifoldRecord, torus_label: str, knot: KnotRecord) -> Manif
         sw=sw,
         sw_reason="tracked",
         rel_sw=rel,
-        marks=tuple(marks),
+        marks=marks,
         flags=m.flags,
         trace=m.trace + (step,),
     )
@@ -235,8 +234,7 @@ def fiber_sum(
                 )
 
     n_a, n_new = a.form.n, a.form.n + len(leftover)
-    used = set(a.basis)
-    new_basis = list(a.basis) + [_fresh_label(b.basis[k], used) for k in leftover]
+    new_basis = a.basis + fresh_names(a.basis, [b.basis[k] for k in leftover])
     rows = [[a.form.entry(i, j) for j in range(n_a)] + [0] * len(leftover) for i in range(n_a)]
     rows[ja][ja] += b.form.entry(jb, jb)
     for bi, k in enumerate(leftover):
@@ -251,9 +249,7 @@ def fiber_sum(
     for bi, k in enumerate(leftover):
         b_dest[k] = n_a + bi
 
-    def push_class(cls: tuple[int, ...] | None) -> tuple[int, ...] | None:
-        if cls is None:
-            return None
+    def push_class(cls: tuple[int, ...]) -> tuple[int, ...]:
         out = [0] * n_new
         for k, c in enumerate(cls):
             out[b_dest[k]] += c
@@ -350,62 +346,35 @@ def fiber_sum(
         sw_reason = f"untracked (missing relative factor for {', '.join(missing)})"
 
     # marks: glued torus re-marked on A's label; B's glue mark consumed
-    marks: list[MarkedSubmanifold] = []
-    used_labels: set[str] = set()
-    rel_labels: list[str] = []
-    for old in _strip_complements(a.marks):
-        label = _fresh_label(old.label, used_labels)
-        if old.label == torus_a:
-            cls = old.homology_class
-            marks.append(
-                MarkedSubmanifold(
-                    kind="torus",
-                    label=label,
-                    homology_class=None if cls is None else cls + (0,) * len(leftover),
-                    pi1_words=glued_words,
-                    framing=f"glued[{ta.framing}|{tb.framing}]",
-                    flags=frozenset({"self_intersection_zero"}),
-                )
-            )
-            rel_labels.append(label)
-        else:
-            cls = old.homology_class
-            marks.append(
-                MarkedSubmanifold(
-                    kind=old.kind,
-                    label=label,
-                    homology_class=None if cls is None else cls + (0,) * len(leftover),
-                    pi1_words=old.pi1_words,
-                    framing=old.framing,
-                    flags=old.flags - {"complement_simply_connected"},
-                )
-            )
-            if old.label in a.rel_sw_map():
-                rel_labels.append(label)
-    for old in _strip_complements(b.marks):
-        if old.label == torus_b:
-            continue
-        label = _fresh_label(old.label, used_labels)
-        marks.append(
-            MarkedSubmanifold(
-                kind=old.kind,
-                label=label,
-                homology_class=push_class(old.homology_class),
-                pi1_words=tuple(remap_word(w) for w in old.pi1_words),
-                framing=old.framing,
-                flags=old.flags - {"complement_simply_connected"},
-            )
+    pad = (0,) * len(leftover)
+    marks = [
+        _carry(
+            old,
+            lambda cls: cls + pad,
+            pi1_words=glued_words,
+            framing=f"glued[{ta.framing}|{tb.framing}]",
+            flags=frozenset({"self_intersection_zero"}),
         )
-        if old.label in b.rel_sw_map():
-            rel_labels.append(label)
-
-    rel: list[tuple[str, GroupRingElement]] = []
-    if sw is not None:
-        by_label = {m.label: m for m in marks}
-        for label in rel_labels:
-            cls = by_label[label].homology_class
-            if cls is not None and any(cls):
-                rel.append((label, sw * u_factor(n_new, cls)))
+        if old.label == torus_a
+        else _carry(
+            old, lambda cls: cls + pad, flags=old.flags - {"complement_simply_connected"}
+        )
+        for old in a.marks
+    ]
+    b_marks = [old for old in b.marks if old.label != torus_b]
+    b_labels = fresh_names([old.label for old in a.marks], [old.label for old in b_marks])
+    marks += [
+        _carry(
+            old,
+            push_class,
+            label=label,
+            pi1_words=tuple(remap_word(w) for w in old.pi1_words),
+            flags=old.flags - {"complement_simply_connected"},
+        )
+        for old, label in zip(b_marks, b_labels)
+    ]
+    rel_labels = {torus_a, *a.rel_sw_map()}
+    rel_labels.update(l for old, l in zip(b_marks, b_labels) if old.label in b.rel_sw_map())
 
     step = {
         "op": "fiber_sum",
@@ -422,10 +391,10 @@ def fiber_sum(
         pi1=pi1,
         euler=euler,
         form=form,
-        basis=tuple(new_basis),
+        basis=new_basis,
         sw=sw,
         sw_reason=sw_reason,
-        rel_sw=tuple(sorted(rel)),
+        rel_sw=_relative_factors(sw, marks, rel_labels),
         marks=tuple(marks),
         flags=frozenset(record_flags),
         trace=a.trace + (step,),
@@ -508,21 +477,9 @@ def loop_surgery(
         parity = None
         branch = "essential"
 
-    marks: list[MarkedSubmanifold] = []
-    for old in _strip_complements(m.marks):
-        if old.label == loop_label:
-            continue
-        cls = old.homology_class
-        marks.append(
-            MarkedSubmanifold(
-                kind=old.kind,
-                label=old.label,
-                homology_class=None if cls is None else cls + pad,
-                pi1_words=old.pi1_words,
-                framing=old.framing,
-                flags=old.flags,
-            )
-        )
+    marks = [
+        _carry(old, lambda cls: cls + pad) for old in m.marks if old.label != loop_label
+    ]
     marks.append(
         MarkedSubmanifold(
             kind="sphere_link_component",
@@ -576,6 +533,44 @@ def sphere_surgery(m: ManifoldRecord, sphere_label: str) -> ManifoldRecord:
     )
 
 
+def _zero_log_transform(m: ManifoldRecord, torus_label: str) -> ManifoldRecord:
+    """Multiplicity-zero log transform along a marked Lagrangian torus.
+
+    The regluing sends the meridian to the pushoff of the torus direction
+    named by the mark's second word, so the group is quotiented by that
+    word, the torus and its hyperbolic dual leave the second homology,
+    and the Euler characteristic is unchanged.  Lemma-suite scaffolding:
+    the result is rebuilt as a fresh record (no trace step), used only
+    for invariant-level comparisons.
+    """
+    mark = m.mark(torus_label)
+    if mark.kind != "torus":
+        raise SurgeryError(f"{torus_label!r} is not a torus mark")
+    if len(mark.pi1_words) != 2:
+        raise SurgeryError(f"{torus_label!r} does not carry its two directions")
+    idx = _basis_index_of_class(m, mark)
+    removed = {idx, _hyperbolic_partner(m.form, idx)}
+    keep = [i for i in range(m.form.n) if i not in removed]
+    marks = tuple(
+        _carry(old, lambda cls: tuple(cls[i] for i in keep))
+        for old in m.marks
+        if old.label != torus_label
+        and not (old.homology_class and any(old.homology_class[i] for i in removed))
+    )
+    return ManifoldRecord(
+        name=f"{m.name}_L0[{torus_label}]",
+        pi1=m.pi1.quotient_by_normal_closure([m.pi1.word(mark.pi1_words[1])]),
+        euler=m.euler,
+        form=IntSymMatrix.from_rows([[m.form.entry(i, j) for j in keep] for i in keep]),
+        basis=tuple(m.basis[i] for i in keep),
+        sw=None,
+        sw_reason="untracked (zero log transform)",
+        rel_sw=(),
+        marks=marks,
+        flags=m.flags,
+    )
+
+
 # -- connected sum ---------------------------------------------------------------
 
 
@@ -590,11 +585,8 @@ def connected_sum(a: ManifoldRecord, b: ManifoldRecord) -> ManifoldRecord:
     other sum stops tracking the Seiberg-Witten element, with the reason
     recording whether both pieces had positive-definite part.
     """
-    from .grouppres import free_product
-
     pi1, offset = free_product(a.pi1, b.pi1)
-    used = set(a.basis)
-    basis = tuple(a.basis) + tuple(_fresh_label(l, used) for l in b.basis)
+    basis = a.basis + fresh_names(a.basis, b.basis)
     form = direct_sum(a.form, b.form)
     if _is_s4_like(b):
         sw, sw_reason = a.sw, a.sw_reason
@@ -605,51 +597,22 @@ def connected_sum(a: ManifoldRecord, b: ManifoldRecord) -> ManifoldRecord:
     else:
         sw, sw_reason = None, "untracked (connected sum)"
 
-    names = pi1.generators
-
     def remap(text: str) -> str:
-        return word_to_text(shift_word(b.pi1.word(text), offset), names)
+        return word_to_text(shift_word(b.pi1.word(text), offset), pi1.generators)
 
-    marks: list[MarkedSubmanifold] = []
-    used_labels: set[str] = set()
-    rel_labels: list[str] = []
-    for old in _strip_complements(a.marks):
-        label = _fresh_label(old.label, used_labels)
-        cls = old.homology_class
-        marks.append(
-            MarkedSubmanifold(
-                kind=old.kind,
-                label=label,
-                homology_class=None if cls is None else cls + (0,) * b.form.n,
-                pi1_words=old.pi1_words,
-                framing=old.framing,
-                flags=old.flags,
-            )
+    b_labels = fresh_names([old.label for old in a.marks], [old.label for old in b.marks])
+    marks = [_carry(old, lambda cls: cls + (0,) * b.form.n) for old in a.marks]
+    marks += [
+        _carry(
+            old,
+            lambda cls: (0,) * a.form.n + cls,
+            label=label,
+            pi1_words=tuple(remap(w) for w in old.pi1_words),
         )
-        if old.label in a.rel_sw_map():
-            rel_labels.append(label)
-    for old in _strip_complements(b.marks):
-        label = _fresh_label(old.label, used_labels)
-        cls = old.homology_class
-        marks.append(
-            MarkedSubmanifold(
-                kind=old.kind,
-                label=label,
-                homology_class=None if cls is None else (0,) * a.form.n + cls,
-                pi1_words=tuple(remap(w) for w in old.pi1_words),
-                framing=old.framing,
-                flags=old.flags,
-            )
-        )
-        if old.label in b.rel_sw_map():
-            rel_labels.append(label)
-    rel: list[tuple[str, GroupRingElement]] = []
-    if sw is not None:
-        by_label = {m.label: m for m in marks}
-        for label in rel_labels:
-            cls = by_label[label].homology_class
-            if cls is not None and any(cls):
-                rel.append((label, sw * u_factor(form.n, cls)))
+        for old, label in zip(b.marks, b_labels)
+    ]
+    rel_labels = set(a.rel_sw_map())
+    rel_labels.update(l for old, l in zip(b.marks, b_labels) if old.label in b.rel_sw_map())
     step = {
         "op": "connected_sum",
         "other_trace": [dict(s) for s in b.trace],
@@ -664,7 +627,7 @@ def connected_sum(a: ManifoldRecord, b: ManifoldRecord) -> ManifoldRecord:
         basis=basis,
         sw=sw,
         sw_reason=sw_reason,
-        rel_sw=tuple(sorted(rel)),
+        rel_sw=_relative_factors(sw, marks, rel_labels),
         marks=tuple(marks),
         flags=a.flags | b.flags,
         trace=a.trace + (step,),
@@ -710,19 +673,7 @@ def build_from_trace(trace) -> ManifoldRecord:
             other = build_from_trace(step["other_trace"])
             record = connected_sum(record, other)
         elif op == "note":
-            record = ManifoldRecord(
-                name=record.name,
-                pi1=record.pi1,
-                euler=record.euler,
-                form=record.form,
-                basis=record.basis,
-                sw=record.sw,
-                sw_reason=record.sw_reason,
-                rel_sw=record.rel_sw,
-                marks=record.marks,
-                flags=record.flags,
-                trace=record.trace + (dict(step),),
-            )
+            record = replace(record, trace=record.trace + (dict(step),))
         else:
             raise ValueError(f"unknown trace op {op!r}")
     return record

@@ -200,6 +200,23 @@ def test_verify_trace_bad_file_exits_2(tmp_path, capsys):
     for step in ("0", "-1"):
         assert main(["verify-trace", str(report), "--step", step]) == 2
         assert "error:" in capsys.readouterr().err
+    malformed = tmp_path / "malformed.json"
+    for records, named in (
+        ({"a": 1}, "'a'"),
+        ([1], "records"),
+        ({"a": {"trace": [1]}}, "'a'"),
+        ({"a": {"trace": 5}}, "'a'"),
+    ):
+        malformed.write_text(json.dumps({"records": records}), encoding="utf-8")
+        assert main(["verify-trace", str(malformed)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and named in err and "Traceback" not in err
+    # a wrong-typed field inside a step is that record's error, not a crash
+    base = {"op": "base", "constructor": "standard_block", "args": []}
+    malformed.write_text(json.dumps({"records": {"a": {"trace": [base]}}}), encoding="utf-8")
+    assert main(["verify-trace", str(malformed)]) == 1
+    result = json.loads(capsys.readouterr().out)
+    assert result["pass"] is False and "error" in result["records"]["a"]
 
 
 def test_report_render_human_summary(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Alexander engine: frozen family table, two independent computation routes,
 Markov-move invariance, braid parsing."""
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from exolink import knots
@@ -54,13 +55,13 @@ def test_trefoil_matches_classical_value_exactly():
 def test_alexander_poly_memoized_by_value(monkeypatch):
     alexander_poly.cache_clear()
     calls = []
-    original = knots._det_cofactor
+    original = knots._bareiss_laurent
 
     def counting(rows):
         calls.append(rows)
         return original(rows)
 
-    monkeypatch.setattr(knots, "_det_cofactor", counting)
+    monkeypatch.setattr(knots, "_bareiss_laurent", counting)
     a, b = parse_braid("2: s1^3"), parse_braid("2: s1^3")
     assert a == b and a is not b
     assert alexander_poly(a) == alexander_poly(b)
@@ -205,3 +206,36 @@ def test_fox_route_agrees_on_random_knots(braid):
     burau = alexander_poly(braid)
     fox = normalize_alexander(fox_alexander(braid))
     assert equal_up_to_units(burau, fox, allow_inversion=True).equal
+
+
+_laurent = st.dictionaries(
+    st.integers(-2, 2), st.integers(-3, 3), max_size=3
+).map(lambda coeffs: GroupRingElement.from_terms(1, {(e,): c for e, c in coeffs.items()}))
+
+
+@st.composite
+def laurent_matrices(draw):
+    """Square 1x1..5x5 matrices of small Laurent polynomials; about half are
+    made singular by overwriting the last row with a multiple of the first."""
+    m = draw(st.integers(1, 5))
+    rows = [[draw(_laurent) for _ in range(m)] for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        factor = draw(_laurent)
+        rows[-1] = [factor * entry for entry in rows[0]]
+    return rows
+
+
+def _to_sympy(poly, t):
+    return sum((c * t**e for (e,), c in poly.terms), sympy.Integer(0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(laurent_matrices())
+def test_bareiss_laurent_matches_sympy_det(rows):
+    """Burau and Fox share this determinant, so their agreement cannot check
+    it; sympy's division-free Berkowitz determinant is the independent oracle."""
+    t = sympy.Symbol("t")
+    matrix = sympy.Matrix([[_to_sympy(e, t) for e in row] for row in rows])
+    ref = matrix.det(method="berkowitz")
+    got = knots._bareiss_laurent([list(row) for row in rows])
+    assert sympy.expand(_to_sympy(got, t) - ref) == 0

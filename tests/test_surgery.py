@@ -207,6 +207,31 @@ def test_connected_sum_with_s4_preserves_sw():
     assert total.form.rows == a.form.rows
 
 
+def test_connected_sum_transports_marks():
+    block = standard_block("T2xS2")
+    assert block.mark("T").complement is not None
+    total = connected_sum(block, block)
+    assert total.basis == ("T", "S", "T'", "S'")
+    assert [m.label for m in total.marks] == ["T", "T'"]
+    assert total.mark("T").homology_class == (1, 0, 0, 0)
+    assert total.mark("T'").homology_class == (0, 0, 1, 0)
+    assert total.mark("T").pi1_words == ("x", "y")
+    assert total.mark("T'").pi1_words == ("x'", "y'")
+    assert total.pi1.generators == ("x", "y", "x'", "y'")
+    assert all(m.complement is None for m in total.marks)
+
+
+def test_fiber_sum_drops_complement_models():
+    t2xs2, product = standard_block("T2xS2"), product_T2_Sigma_g(1)
+    # both blocks model the complement of their torus T; gluing along xa1
+    # carries the product's T through, once on side A and once on side B
+    assert t2xs2.mark("T").complement is not None
+    assert product.mark("T").complement is not None
+    for a, torus_a, b, torus_b in ((t2xs2, "T", product, "xa1"), (product, "xa1", t2xs2, "T")):
+        glued = fiber_sum(a, torus_a, b, torus_b)
+        assert all(m.complement is None for m in glued.marks)
+
+
 def test_fiber_sum_of_twisted_blocks_marks_pi1_model():
     a = kodaira_thurston_block(1)
     b = kodaira_thurston_block(1)
