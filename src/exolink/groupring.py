@@ -245,6 +245,36 @@ def equal_up_to_units(
     return UnitMatch(False)
 
 
+def _unit_normal_terms(a: GroupRingElement) -> tuple[tuple[ExponentVector, int], ...]:
+    # Terms are sorted and a shift translates every exponent alike, so the
+    # first term is the one that moves to exponent 0.
+    first, lead = a.terms[0]
+    sign = 1 if lead > 0 else -1
+    return tuple(
+        (tuple(x - y for x, y in zip(e, first)), sign * c) for e, c in a.terms
+    )
+
+
+def unit_normal_form(
+    a: GroupRingElement, allow_inversion: bool = False
+) -> tuple[tuple[ExponentVector, int], ...]:
+    """A key on which a and b agree exactly when ``equal_up_to_units`` holds.
+
+    Every term is shifted so the first term's exponent is 0 and the
+    coefficients are signed so its coefficient is positive.  With
+    ``allow_inversion`` the key is the smaller of the normal forms of a and
+    of a with t -> t^-1: inversion is an involution that commutes with
+    units, so those two forms make up the whole class.  Zero keys to ().
+    Comparing k elements pairwise then costs k keys, not k^2 searches.
+    """
+    if a.is_zero:
+        return ()
+    key = _unit_normal_terms(a)
+    if allow_inversion:
+        key = min(key, _unit_normal_terms(a.invert_vars()))
+    return key
+
+
 # -- text serialization ------------------------------------------------------
 #
 # Grammar (round-trips with from_text):

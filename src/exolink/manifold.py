@@ -258,8 +258,19 @@ def simplifies_trivial(p: GroupPresentation, budget: int | None = None) -> bool:
 
 
 def canonical_json(obj) -> str:
-    """Deterministic rendering used for reports and field-for-field equality."""
+    """Deterministic rendering used for report files and stdout."""
     return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": "))
+
+
+def same_json(a, b) -> bool:
+    """Whether ``canonical_json(a) == canonical_json(b)``, without rendering it.
+
+    The compact rendering differs from the canonical one only in whitespace
+    outside strings, so the two have the same equality; without ``indent``
+    ``json`` uses its C encoder.
+    """
+    compact = {"sort_keys": True, "separators": (",", ":")}
+    return json.dumps(a, **compact) == json.dumps(b, **compact)
 
 
 def record_to_json(record: ManifoldRecord) -> dict:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .groupring import GroupRingElement, equal_up_to_units, to_text as ring_to_text
+from .groupring import GroupRingElement, to_text as ring_to_text, unit_normal_form
 from .grouppres import (
     GroupPresentation,
     pi1_Ng,
@@ -32,11 +32,11 @@ from .lattice import indefinite_unimodular_iso, invariants
 from .manifold import (
     ManifoldRecord,
     admissible_from_spec,
-    canonical_json,
     invariant_tuple,
     kodaira_thurston_block,
     product_T2_Sigma_g,
     record_to_json,
+    same_json,
     simplifies_trivial,
     standard_block,
 )
@@ -422,11 +422,13 @@ def _certify_link_group(rep: _Report, cfg: RecipeConfig, z_records) -> None:
 
 def _certify_smooth_inequivalence(rep: _Report, cfg: RecipeConfig, z_records) -> None:
     names = list(z_records)
+    # two unit-normal-form keys per knot, so each pair is a key comparison
+    strict_key = {n: unit_normal_form(z.sw) for n, z in z_records.items()}
+    conj_key = {n: unit_normal_form(z.sw, allow_inversion=True) for n, z in z_records.items()}
     pairs = {}
     for a, b in combinations(names, 2):
-        sa, sb = z_records[a].sw, z_records[b].sw
-        strict = equal_up_to_units(sa, sb, allow_inversion=False).equal
-        conj = equal_up_to_units(sa, sb, allow_inversion=True).equal
+        strict = strict_key[a] == strict_key[b]
+        conj = conj_key[a] == conj_key[b]
         verdict_equal = conj if cfg.comparison_mode == "conjugation" else strict
         pairs[f"{a}|{b}"] = {
             "strict_equal": strict,
@@ -581,12 +583,8 @@ def _certify_topological_isotopy(rep: _Report, cfg: RecipeConfig, base, zstar_re
 def _certify_surgery_consistency(rep, cfg, z_records, zstar_records, links) -> None:
     per_knot = {}
     for name, zs in zstar_records.items():
-        current = zs
-        for sphere in links[name]:
-            current = sphere_surgery(current, sphere)
-        same = canonical_json(record_to_json(current)) == canonical_json(
-            record_to_json(z_records[name])
-        )
+        current = sphere_surgery(zs, *links[name])
+        same = same_json(record_to_json(current), record_to_json(z_records[name]))
         per_knot[name] = same
         rep.check(
             f"surgery_consistency/{name}",
@@ -678,14 +676,13 @@ def brunnian_certificate_section(rep, cfg: RecipeConfig, base, t2_label, z_recor
 
     # stabilization clause: after one connected sum with S2xS2 the knot
     # surgery dissolves, and the result is one record independent of the knot
-    stabilized_core: dict[str, str] = {}
-    for name, z in z_records.items():
+    cores = []
+    for z in z_records.values():
         stabilized = connected_sum(z, standard_block("S2xS2"))
         dissolved = dissolve_knot_surgery_after_stabilization(stabilized)
-        core = {k: v for k, v in record_to_json(dissolved).items() if k != "trace"}
-        stabilized_core[name] = canonical_json(core)
-    names = list(stabilized_core)
-    identical = len(set(stabilized_core.values())) == 1
+        cores.append({k: v for k, v in record_to_json(dissolved).items() if k != "trace"})
+    names = list(z_records)
+    identical = bool(cores) and all(same_json(cores[0], core) for core in cores[1:])
     rep.check(
         "brunnian_stabilization",
         "one stabilization dissolves the knot surgery to a single record "
@@ -920,7 +917,8 @@ def verify_trace_report(report: dict, step: int | None = None) -> dict:
     """Replay every record trace in a report.
 
     Full replay (default) compares the rebuilt record byte for byte with
-    the stored one.  With ``step`` = k, only the first k steps are
+    the stored one; a record that differs lists the top-level fields that
+    diverged under ``differs``.  With ``step`` = k, only the first k steps are
     replayed (clamped to each record's trace length) and the
     intermediate invariants are reported; no byte comparison is possible
     mid-trace.
@@ -946,8 +944,16 @@ def verify_trace_report(report: dict, step: int | None = None) -> dict:
         entry: dict = {"steps": len(trace)}
         try:
             if step is None:
-                rebuilt = build_from_trace(trace)
-                entry["identical"] = canonical_json(record_to_json(rebuilt)) == canonical_json(stored)
+                rebuilt = record_to_json(build_from_trace(trace))
+                entry["identical"] = same_json(rebuilt, stored)
+                if not entry["identical"]:
+                    entry["differs"] = sorted(
+                        key
+                        for key in rebuilt.keys() | stored.keys()
+                        if key not in rebuilt
+                        or key not in stored
+                        or not same_json(rebuilt[key], stored[key])
+                    )
             else:
                 upto = min(step, len(trace))
                 partial = build_from_trace(trace[:upto])

@@ -514,23 +514,34 @@ def loop_surgery(
     )
 
 
-def sphere_surgery(m: ManifoldRecord, sphere_label: str) -> ManifoldRecord:
-    """Undo the loop surgery that created a belt sphere, by trace replay.
-
-    Replaces D^2 x S^2 back by S^1 x D^3: the trace step that created the
-    named component is removed and the whole record is rebuilt, so the
-    result is field-for-field the record that never did that surgery.
-    """
+def _belt_step(m: ManifoldRecord, sphere_label: str) -> int:
+    """Index of the trace step whose loop surgery created a belt sphere."""
     mark = m.mark(sphere_label)
     if mark.kind != "sphere_link_component":
         raise SurgeryError(f"{sphere_label!r} is not a sphere-link component")
     for i, step in enumerate(m.trace):
         if step.get("op") == "loop_surgery" and f"belt[{step['loop']}]" == sphere_label:
-            return build_from_trace(m.trace[:i] + m.trace[i + 1 :])
+            return i
     raise SurgeryError(
         f"component {sphere_label!r} lacks reverse-trace data; it was not "
         "created by a loop surgery in this record's trace"
     )
+
+
+def sphere_surgery(m: ManifoldRecord, *sphere_labels: str) -> ManifoldRecord:
+    """Undo the loop surgeries that created the named belt spheres, by replay.
+
+    Replaces each D^2 x S^2 back by S^1 x D^3: the trace steps that created
+    the named components are removed and the record is rebuilt once, so the
+    result is field-for-field the record that never did those surgeries,
+    and the same as surgering the components one at a time.
+    """
+    if not sphere_labels:
+        raise SurgeryError("sphere surgery needs at least one link component")
+    if len(set(sphere_labels)) != len(sphere_labels):
+        raise SurgeryError(f"link components named more than once: {sphere_labels}")
+    drop = {_belt_step(m, label) for label in sphere_labels}
+    return build_from_trace(tuple(s for i, s in enumerate(m.trace) if i not in drop))
 
 
 def _zero_log_transform(m: ManifoldRecord, torus_label: str) -> ManifoldRecord:

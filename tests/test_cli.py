@@ -182,6 +182,10 @@ def test_verify_trace_catches_tampering(tmp_path, capsys):
     assert main(["verify-trace", str(path)]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert not payload["records"]["M"]["identical"]
+    assert payload["records"]["M"]["differs"] == ["euler"]
+    # records that replay identically carry no differs entry
+    others = [e for name, e in payload["records"].items() if name != "M"]
+    assert others and all(e["identical"] and "differs" not in e for e in others)
 
 
 def test_verify_trace_bad_file_exits_2(tmp_path, capsys):

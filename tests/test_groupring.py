@@ -9,6 +9,7 @@ from exolink.groupring import (
     format_univariate,
     from_text,
     to_text,
+    unit_normal_form,
 )
 
 
@@ -146,3 +147,33 @@ def test_unit_multiples_always_match(a, shift, sign):
 @given(elements(1))
 def test_text_round_trip_property(a):
     assert from_text(to_text(a), 1) == a
+
+
+def test_unit_normal_form_examples():
+    assert unit_normal_form(GroupRingElement.zero(2)) == ()
+    a = _elem(1, {(2,): -3, (4,): 1})
+    assert unit_normal_form(a) == (((0,), 3), ((2,), -1))
+    assert unit_normal_form(a.invert_vars()) != unit_normal_form(a)
+    assert unit_normal_form(a.invert_vars(), allow_inversion=True) == unit_normal_form(
+        a, allow_inversion=True
+    )
+
+
+@settings(max_examples=300)
+@given(
+    elements(2),
+    elements(2),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.sampled_from([1, -1]),
+    st.sampled_from(["other", "unit", "inverted", "zero"]),
+)
+def test_unit_normal_form_keys_agree_with_equal_up_to_units(a, other, shift, sign, kind):
+    b = {
+        "other": other,
+        "unit": (a * sign).shift(shift),
+        "inverted": (a.invert_vars() * sign).shift(shift),
+        "zero": GroupRingElement.zero(2),
+    }[kind]
+    for inversion in (False, True):
+        same_key = unit_normal_form(a, inversion) == unit_normal_form(b, inversion)
+        assert same_key == equal_up_to_units(a, b, allow_inversion=inversion).equal

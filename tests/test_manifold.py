@@ -2,6 +2,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exolink.fixtures import spec_text
 from exolink.groupring import GroupRingElement, to_text
@@ -18,6 +19,7 @@ from exolink.manifold import (
     product_T2_Sigma_g,
     record_from_json,
     record_to_json,
+    same_json,
     simplifies_trivial,
     standard_block,
     u_factor,
@@ -144,6 +146,44 @@ def test_record_serialization_round_trip():
         assert record_from_json(data) == record
         # canonical form is stable under a JSON round trip
         assert canonical_json(json.loads(canonical_json(data))) == canonical_json(data)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.floats(-2, 2) | st.text(" :,\"ab", max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(" :ab", max_size=2), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _twin(value, bools_as_ints: bool):
+    """``value`` with tuples and lists swapped, dict insertion order reversed
+    and, if asked, every bool replaced by the int it equals in Python."""
+    if isinstance(value, bool):
+        return int(value) if bools_as_ints else value
+    if isinstance(value, list):
+        return tuple(_twin(v, bools_as_ints) for v in value)
+    if isinstance(value, tuple):
+        return [_twin(v, bools_as_ints) for v in value]
+    if isinstance(value, dict):
+        return {k: _twin(value[k], bools_as_ints) for k in reversed(list(value))}
+    return value
+
+
+def test_same_json_examples():
+    assert same_json((1, [2, 3]), [1, (2, 3)])
+    assert not same_json(True, 1)
+    assert not same_json([True], [1])
+    assert same_json({"a": 1, "b": 2}, {"b": 2, "a": 1})
+    assert not same_json({"a": "x y"}, {"a": "xy"})
+
+
+@settings(max_examples=300)
+@given(json_values, json_values, st.booleans())
+def test_same_json_agrees_with_canonical_json(a, b, bools_as_ints):
+    for other in (b, _twin(a, bools_as_ints)):
+        assert same_json(a, other) == (canonical_json(a) == canonical_json(other))
 
 
 def test_invariant_tuple_keys():

@@ -1,0 +1,31 @@
+"""The README's recipe report and its replay, pinned byte for byte by sha256.
+
+For a fixed configuration a report stays byte-identical unless the report
+format is bumped on purpose, so a change that moves either digest changes
+what the README command gives its users.  Both digests were taken with
+Python 3.11.
+"""
+import hashlib
+from pathlib import Path
+
+from exolink.cli import main
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+REPORT_SHA256 = "4a7f80e6f0f918d927838adc0cd61872e39d42d2a4bcf5fa2b5f34b30f340844"
+VERIFY_TRACE_SHA256 = "156b9fd7389dfa11c1a37dac96a2a125192bdf8c177b84f83b3457f3f3986a38"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_readme_report_and_verify_trace_digests(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    spec = REPO_ROOT / "fixtures" / "M_even.json"
+    argv = ["recipe", "run", "--spec", str(spec), "--group", "free:2", "--knots", "twist:0..4"]
+    assert main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _sha256(out.read_bytes()) == REPORT_SHA256
+    assert main(["verify-trace", str(out)]) == 0
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == VERIFY_TRACE_SHA256

@@ -187,6 +187,40 @@ def test_sphere_surgery_rejects_non_belt_marks():
         sphere_surgery(m, "T1")
 
 
+def free2_zstar():
+    z = fiber_sum(knot_surgery(even_base(), "T1", TREFOIL), "T2", kodaira_thurston_block(2), "T")
+    return z, loop_surgery(loop_surgery(z, "loop_b1"), "loop_b2")
+
+
+def test_sphere_surgery_batch_matches_sequential_calls():
+    z, zs = free2_zstar()
+    sequential = sphere_surgery(sphere_surgery(zs, "belt[loop_b1]"), "belt[loop_b2]")
+    for labels in (("belt[loop_b1]", "belt[loop_b2]"), ("belt[loop_b2]", "belt[loop_b1]")):
+        batch = sphere_surgery(zs, *labels)
+        assert canonical_json(record_to_json(batch)) == canonical_json(
+            record_to_json(sequential)
+        )
+    assert canonical_json(record_to_json(sequential)) == canonical_json(record_to_json(z))
+
+
+def test_sphere_surgery_batch_rejects_bad_labels():
+    _, zs = free2_zstar()
+    with pytest.raises(SurgeryError, match="at least one"):
+        sphere_surgery(zs)
+    with pytest.raises(SurgeryError, match="more than once"):
+        sphere_surgery(zs, "belt[loop_b1]", "belt[loop_b1]")
+    with pytest.raises(SurgeryError, match="not a sphere-link component"):
+        sphere_surgery(zs, "belt[loop_b1]", "T1")
+    # the belt arrives through a connected sum, so no top-level loop
+    # surgery step created it
+    summed = connected_sum(standard_block("S4"), zs)
+    assert summed.mark("belt[loop_b2]").kind == "sphere_link_component"
+    with pytest.raises(SurgeryError, match="lacks reverse-trace data"):
+        sphere_surgery(summed, "belt[loop_b2]")
+    with pytest.raises(SurgeryError, match="lacks reverse-trace data"):
+        sphere_surgery(summed, "belt[loop_b1]", "belt[loop_b2]")
+
+
 def test_connected_sum_arithmetic():
     a = even_base()
     b = standard_block("S2xS2")
