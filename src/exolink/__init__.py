@@ -35,7 +35,6 @@ from .surgery import (
     fiber_sum,
     knot_surgery,
     loop_surgery,
-    mandelbaum_gompf_rewrite,
     sphere_surgery,
 )
 from .pipeline import (
@@ -76,7 +75,6 @@ __all__ = [
     "knot_surgery",
     "kodaira_thurston_block",
     "loop_surgery",
-    "mandelbaum_gompf_rewrite",
     "parse_braid",
     "product_T2_Sigma_g",
     "recognize_free",

@@ -13,6 +13,7 @@ import sys
 from .groupring import format_univariate
 from .knots import alexander_poly, parse_braid
 from .manifold import (
+    STANDARD_BLOCKS,
     canonical_json,
     invariant_tuple,
     kodaira_thurston_block,
@@ -29,9 +30,6 @@ from .pipeline import (
     verify_lemma_suite,
     verify_trace_report,
 )
-
-STANDARD_BLOCKS = ("S4", "S2xS2", "S2xS2_twisted", "T2xS2", "S1xS3")
-
 
 class _UsageError(Exception):
     """Raised for argument-level problems that must exit with code 2."""

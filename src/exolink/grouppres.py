@@ -12,7 +12,6 @@ by an explicit relator-free or canonical-relator presentation.
 """
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 from functools import cache
@@ -22,21 +21,8 @@ from .lattice import abelian_invariants_from_matrix
 
 Word = tuple[int, ...]
 
-DEFAULT_BUDGET_ENV = "EXOLINK_TIETZE_BUDGET"
+DEFAULT_TIETZE_BUDGET = 10_000
 _MAX_DEFINING_LENGTH = 16
-
-
-def default_budget() -> int:
-    raw = os.environ.get(DEFAULT_BUDGET_ENV)
-    if raw is None:
-        return 10_000
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{DEFAULT_BUDGET_ENV} must be an integer, got {raw!r}") from exc
-    if value <= 0:
-        raise ValueError(f"{DEFAULT_BUDGET_ENV} must be positive")
-    return value
 
 
 def free_reduce(word: Iterable[int]) -> Word:
@@ -100,13 +86,6 @@ class GroupPresentation:
     @classmethod
     def free(cls, names: Sequence[str]) -> "GroupPresentation":
         return cls(tuple(names), ())
-
-    def index_of(self, name: str) -> int:
-        """1-based index of a generator name."""
-        try:
-            return self.generators.index(name) + 1
-        except ValueError as exc:
-            raise KeyError(f"no generator named {name!r}") from exc
 
     def word(self, text: str) -> Word:
         return parse_word(text, self.generators)
@@ -465,10 +444,11 @@ def tietze_simplify(
     Move priority: drop an empty relator; otherwise eliminate the generator
     defined by the shortest relator (length <= 16) in which it occurs exactly
     once, ties broken by generator then relator index.  Stops at a fixpoint
-    or when the budget is exhausted (flagged on the log).
+    or when the budget is exhausted (flagged on the log).  A budget of None
+    means ``DEFAULT_TIETZE_BUDGET`` moves.
     """
     if budget is None:
-        budget = default_budget()
+        budget = DEFAULT_TIETZE_BUDGET
     gens = p.generators
     rels = list(p.relators)
     steps: list[TietzeStep] = []

@@ -77,9 +77,6 @@ class GroupRingElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support(self) -> tuple[ExponentVector, ...]:
-        return tuple(e for e, _ in self.terms)
-
     def coefficient(self, exponents: Sequence[int]) -> int:
         key = tuple(exponents)
         for e, c in self.terms:

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from functools import cache
 
-from .groupring import GroupRingElement, equal_up_to_units
+from .groupring import GroupRingElement, unit_normal_form
 from .grouppres import GroupPresentation, Word, free_reduce
 
 
@@ -416,15 +416,15 @@ def twist_knot_family(count: int) -> tuple[KnotRecord, ...]:
     records = tuple(
         KnotRecord.from_braid(f"twist_{n}", TWIST_BRAIDS[n]) for n in range(count)
     )
-    for i in range(len(records)):
-        for j in range(i + 1, len(records)):
-            if equal_up_to_units(
-                records[i].alexander, records[j].alexander, allow_inversion=True
-            ).equal:
-                raise ValueError(
-                    f"family is not Alexander-separated: {records[i].name} and "
-                    f"{records[j].name} agree up to units"
-                )
+    seen: dict[tuple, str] = {}
+    for record in records:
+        key = unit_normal_form(record.alexander, allow_inversion=True)
+        if key in seen:
+            raise ValueError(
+                f"family is not Alexander-separated: {seen[key]} and "
+                f"{record.name} agree up to units"
+            )
+        seen[key] = record.name
     return records
 
 

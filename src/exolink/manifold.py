@@ -320,90 +320,54 @@ def record_from_json(data: dict) -> ManifoldRecord:
 # -- standard blocks -------------------------------------------------------------
 
 
-def standard_block(name: str) -> ManifoldRecord:
-    """The small closed blocks the calculus keeps on the shelf.
+# The small closed blocks the calculus keeps on the shelf, by name: S4,
+# S2xS2, the twisted bundle S2xS2_twisted (odd form), T2xS2 with its marked
+# product torus, and S1xS3.  None of them tracks a Seiberg-Witten element.
+STANDARD_BLOCKS = {
+    "S4": dict(pi1=trivial_presentation(), euler=2, form=IntSymMatrix.empty(), basis=()),
+    "S2xS2": dict(
+        pi1=trivial_presentation(), euler=4, form=hyperbolic_pair(), basis=("Sa", "Sb")
+    ),
+    "S2xS2_twisted": dict(
+        pi1=trivial_presentation(),
+        euler=4,
+        form=IntSymMatrix.diagonal((1, -1)),
+        basis=("Ca", "Cb"),
+    ),
+    "T2xS2": dict(
+        pi1=pi1_Z2(),
+        euler=0,
+        form=hyperbolic_pair(),
+        basis=("T", "S"),
+        marks=(
+            MarkedSubmanifold(
+                kind="torus",
+                label="T",
+                homology_class=(1, 0),
+                pi1_words=("x", "y"),
+                framing="product",
+                flags=frozenset({"self_intersection_zero"}),
+                complement=("gens: x, y; rels: [x, y]", "1"),
+            ),
+        ),
+    ),
+    "S1xS3": dict(pi1=pi1_Z(), euler=0, form=IntSymMatrix.empty(), basis=()),
+}
 
-    S4, S2xS2, the twisted bundle S2xS2_twisted (odd form), T2xS2 with its
-    marked product torus, and S1xS3.
-    """
-    trace = ({"op": "base", "constructor": "standard_block", "args": {"name": name}},)
-    untracked = "untracked (standard block)"
-    if name == "S4":
-        return ManifoldRecord(
-            name="S4",
-            pi1=trivial_presentation(),
-            euler=2,
-            form=IntSymMatrix.empty(),
-            basis=(),
-            sw=None,
-            sw_reason=untracked,
-            rel_sw=(),
-            marks=(),
-            trace=trace,
-        )
-    if name == "S2xS2":
-        return ManifoldRecord(
-            name="S2xS2",
-            pi1=trivial_presentation(),
-            euler=4,
-            form=hyperbolic_pair(),
-            basis=("Sa", "Sb"),
-            sw=None,
-            sw_reason=untracked,
-            rel_sw=(),
-            marks=(),
-            trace=trace,
-        )
-    if name == "S2xS2_twisted":
-        return ManifoldRecord(
-            name="S2xS2_twisted",
-            pi1=trivial_presentation(),
-            euler=4,
-            form=IntSymMatrix.diagonal((1, -1)),
-            basis=("Ca", "Cb"),
-            sw=None,
-            sw_reason=untracked,
-            rel_sw=(),
-            marks=(),
-            trace=trace,
-        )
-    if name == "T2xS2":
-        complement = ("gens: x, y; rels: [x, y]", "1")
-        torus = MarkedSubmanifold(
-            kind="torus",
-            label="T",
-            homology_class=(1, 0),
-            pi1_words=("x", "y"),
-            framing="product",
-            flags=frozenset({"self_intersection_zero"}),
-            complement=complement,
-        )
-        return ManifoldRecord(
-            name="T2xS2",
-            pi1=pi1_Z2(),
-            euler=0,
-            form=hyperbolic_pair(),
-            basis=("T", "S"),
-            sw=None,
-            sw_reason=untracked,
-            rel_sw=(),
-            marks=(torus,),
-            trace=trace,
-        )
-    if name == "S1xS3":
-        return ManifoldRecord(
-            name="S1xS3",
-            pi1=pi1_Z(),
-            euler=0,
-            form=IntSymMatrix.empty(),
-            basis=(),
-            sw=None,
-            sw_reason=untracked,
-            rel_sw=(),
-            marks=(),
-            trace=trace,
-        )
-    raise ValueError(f"unknown standard block {name!r}")
+
+def standard_block(name: str) -> ManifoldRecord:
+    """The record of the standard block ``name`` (a key of STANDARD_BLOCKS)."""
+    if name not in STANDARD_BLOCKS:
+        raise ValueError(f"unknown standard block {name!r}")
+    fields = {"marks": (), **STANDARD_BLOCKS[name]}
+    return ManifoldRecord(
+        name=name,
+        sw=None,
+        sw_reason="untracked (standard block)",
+        rel_sw=(),
+        trace=({"op": "base", "constructor": "standard_block", "args": {"name": name}},),
+        **fields,
+    )
 
 
 def product_T2_Sigma_g(g: int) -> ManifoldRecord:

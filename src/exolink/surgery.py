@@ -61,10 +61,6 @@ CITE_DISSOLVE = (
     "Akbulut/Auckly/Baykur: a knot-surgered piece dissolves after a single "
     "S2xS2 stabilization"
 )
-CITE_MANDELBAUM_GOMPF = (
-    "Mandelbaum/Gompf: one S2xS2 stabilization turns the fiber sum into the "
-    "connected sum with the pushoff-surgered block"
-)
 
 
 class SurgeryError(ValueError):
@@ -803,59 +799,3 @@ def mandelbaum_gompf_hypotheses(
             "certified spin"
         )
     return "nonspin-complement", f"witness basis combination {witness}"
-
-
-def mandelbaum_gompf_rewrite(
-    x: ManifoldRecord,
-    torus_x: str,
-    b: ManifoldRecord,
-    torus_b: str,
-) -> ManifoldRecord:
-    """One stabilization dissolves a fiber sum into a connected sum.
-
-    For a fiber sum F of X and B along marked framed tori, with X, B, and
-    the X-side torus complement simply connected and X spin or the
-    complement carrying an odd witness class, the stabilized manifold
-    F # S2xS2 is the connected sum of X with B surgered along pushoffs of
-    the glued torus's two directions.  This operation checks those
-    hypotheses, builds that right-hand side, and re-verifies it against
-    the predicted stabilized invariants of F (which itself lies outside
-    the block homology rule, so it is predicted arithmetically, not
-    constructed).
-    """
-    branch, detail = mandelbaum_gompf_hypotheses(x, torus_x)
-    if not simplifies_trivial(b.pi1):
-        raise SurgeryError("B is not certified simply connected")
-    tb = b.mark(torus_b)
-    if tb.kind != "torus":
-        raise SurgeryError(f"{torus_b!r} is not a torus mark")
-    words = tb.pi1_words if tb.pi1_words else ("1", "1")
-    b_star = loop_surgery(b, f"push_a[{torus_b}]", word=words[0], nullhomotopic=True)
-    b_star = loop_surgery(
-        b_star, f"push_b[{torus_b}]", word=words[1], nullhomotopic=True
-    )
-    result = connected_sum(x, b_star)
-    note = {
-        "op": "note",
-        "event": "mandelbaum_gompf_rewrite",
-        "branch": branch,
-        "detail": detail,
-        "cite": CITE_MANDELBAUM_GOMPF,
-    }
-    result = build_from_trace(result.trace + (note,))
-    # the fiber sum itself has b2 = b2(X) + b2(B) + 2 (the glued torus and a
-    # rim dual survive); stabilizing adds two more
-    predicted = {
-        "euler": x.euler + b.euler + 2,
-        "b2": x.b2 + b.b2 + 4,
-        "signature": invariants(x.form).signature + invariants(b.form).signature,
-        "b1": 0,
-    }
-    got = invariant_tuple(result)
-    for key, value in predicted.items():
-        if got[key] != value:
-            raise SurgeryError(
-                f"rewrite failed re-verification on {key}: predicted {value}, "
-                f"got {got[key]}"
-            )
-    return result

@@ -221,6 +221,14 @@ def test_verify_trace_bad_file_exits_2(tmp_path, capsys):
     assert main(["verify-trace", str(malformed)]) == 1
     result = json.loads(capsys.readouterr().out)
     assert result["pass"] is False and "error" in result["records"]["a"]
+    # an op the replay engine does not know fails that record after a valid base
+    base = {"op": "base", "constructor": "standard_block", "args": {"name": "S4"}}
+    steps = [base, {"op": "bogus"}]
+    malformed.write_text(json.dumps({"records": {"a": {"trace": steps}}}), encoding="utf-8")
+    assert main(["verify-trace", str(malformed)]) == 1
+    result = json.loads(capsys.readouterr().out)
+    assert result["pass"] is False
+    assert "unknown trace op 'bogus'" in result["records"]["a"]["error"]
 
 
 def test_report_render_human_summary(tmp_path, capsys):

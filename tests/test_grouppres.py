@@ -4,7 +4,6 @@ import pytest
 from exolink import lattice
 from exolink.grouppres import (
     GroupPresentation,
-    default_budget,
     free_product,
     pi1_Ng,
     pi1_product_surface,
@@ -138,10 +137,3 @@ def test_quotient_by_normal_closure_kills_generator():
     p = pi1_product_surface(1)
     q = p.quotient_by_normal_closure([p.word("x"), p.word("y")])
     assert recognize_surface(q, 1, 10_000)
-
-
-def test_default_budget_env(monkeypatch):
-    monkeypatch.setenv("EXOLINK_TIETZE_BUDGET", "123")
-    assert default_budget() == 123
-    monkeypatch.delenv("EXOLINK_TIETZE_BUDGET")
-    assert default_budget() > 0

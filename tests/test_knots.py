@@ -105,6 +105,18 @@ def test_family_is_alexander_separated_both_modes():
                 ).equal
 
 
+def test_family_collision_names_the_pair(monkeypatch):
+    # the mirror trefoil and a stabilized trefoil repeat the trefoil's polynomial
+    table = ("1:", "2: s1^3", "3: s1 s2^-1 s1 s2^-1", "2: s1^-3", "3: s1^3 s2")
+    monkeypatch.setattr(knots, "TWIST_BRAIDS", table)
+    assert len(twist_knot_family(3)) == 3
+    with pytest.raises(ValueError, match="twist_1 and twist_3 agree up to units"):
+        twist_knot_family(4)
+    monkeypatch.setattr(knots, "TWIST_BRAIDS", table[:3] + table[4:])
+    with pytest.raises(ValueError, match="twist_1 and twist_3 agree up to units"):
+        twist_knot_family(4)
+
+
 def test_knot_record_from_braid_accepts_text():
     rec = KnotRecord.from_braid("trefoil", "2: s1^3")
     assert rec.name == "trefoil"

@@ -20,12 +20,24 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def test_readme_report_and_verify_trace_digests(tmp_path, capsys):
+def _readme_report(tmp_path) -> Path:
     out = tmp_path / "report.json"
     spec = REPO_ROOT / "fixtures" / "M_even.json"
     argv = ["recipe", "run", "--spec", str(spec), "--group", "free:2", "--knots", "twist:0..4"]
     assert main([*argv, "--out", str(out)]) == 0
+    return out
+
+
+def test_readme_report_and_verify_trace_digests(tmp_path, capsys):
+    report = _readme_report(tmp_path)
     capsys.readouterr()
-    assert _sha256(out.read_bytes()) == REPORT_SHA256
-    assert main(["verify-trace", str(out)]) == 0
+    assert _sha256(report.read_bytes()) == REPORT_SHA256
+    assert main(["verify-trace", str(report)]) == 0
     assert _sha256(capsys.readouterr().out.encode("utf-8")) == VERIFY_TRACE_SHA256
+
+
+def test_readme_report_ignores_the_environment(tmp_path, monkeypatch, capsys):
+    # the report's config is the whole input: a budget set outside it would
+    # change the verdict without the report saying so
+    monkeypatch.setenv("EXOLINK_TIETZE_BUDGET", "1")
+    assert _sha256(_readme_report(tmp_path).read_bytes()) == REPORT_SHA256

@@ -1,5 +1,7 @@
 """The runtime stays pure stdlib: importing every exolink module loads no
-third-party package."""
+third-party package.  It also reads no environment variable, so a run's
+inputs are exactly what its report records."""
+import ast
 import json
 import os
 import subprocess
@@ -34,3 +36,21 @@ def test_runtime_imports_only_stdlib():
     assert "exolink" in loaded
     foreign = loaded - set(sys.stdlib_module_names) - {"exolink", "__main__"}
     assert not foreign, f"exolink imports non-stdlib modules: {sorted(foreign)}"
+
+
+ENV_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_runtime_reads_no_environment():
+    found = []
+    for path in sorted((SRC / "exolink").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ENV_READS:
+                found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [
+                    f"{path.name}:{node.lineno}: from os import {alias.name}"
+                    for alias in node.names
+                    if alias.name in ENV_READS
+                ]
+    assert not found, f"exolink reads the environment: {found}"

@@ -12,6 +12,7 @@ from exolink.manifold import (
     kodaira_thurston_block,
     product_T2_Sigma_g,
     record_to_json,
+    same_json,
     standard_block,
 )
 from exolink.surgery import (
@@ -23,7 +24,6 @@ from exolink.surgery import (
     knot_surgery,
     loop_surgery,
     mandelbaum_gompf_hypotheses,
-    mandelbaum_gompf_rewrite,
     sphere_surgery,
 )
 
@@ -327,6 +327,29 @@ def test_dissolve_after_stabilization():
     )
 
 
+def test_mirrored_gluing_quotients_side_a_and_dissolves_nested_knot_step():
+    # the knot-surgered base is side B, so its knot step sits inside the
+    # fiber sum's other_trace and the quotient is taken on side A
+    block = kodaira_thurston_block(2)
+    cores = []
+    for knot in twist_knot_family(3):
+        surgered = knot_surgery(even_base(), "T1", knot)
+        mirrored = fiber_sum(block, "T", surgered, "T2")
+        assert mirrored.trace[-1]["pi1_route"] == (
+            "quotient of side A by the glued torus directions"
+        )
+        forward = fiber_sum(surgered, "T2", block, "T")
+        assert invariant_tuple(mirrored) == invariant_tuple(forward)
+        stabilized = connected_sum(mirrored, standard_block("S2xS2"))
+        dissolved = dissolve_knot_surgery_after_stabilization(stabilized)
+        assert invariant_tuple(dissolved) == invariant_tuple(stabilized)
+        nested = dissolved.trace[1]["other_trace"]
+        assert [s["op"] for s in nested] == ["base"]
+        assert dissolved.trace[-1]["knot"] == knot.name
+        cores.append({k: v for k, v in record_to_json(dissolved).items() if k != "trace"})
+    assert all(same_json(cores[0], core) for core in cores[1:])
+
+
 def test_dissolve_requires_stabilization():
     z = fiber_sum(
         knot_surgery(even_base(), "T1", TREFOIL),
@@ -343,17 +366,3 @@ def test_mandelbaum_gompf_hypotheses_branches():
     branch, detail = mandelbaum_gompf_hypotheses(odd_base(), "T2")
     assert branch == "nonspin-complement"
     assert "witness" in detail
-
-
-def test_mandelbaum_gompf_rewrite_matches_prediction():
-    x = even_base()
-    block = kodaira_thurston_block(1)
-    with pytest.raises(SurgeryError, match="simply connected"):
-        mandelbaum_gompf_rewrite(x, "T2", block, "T")
-    b = odd_base()
-    result = mandelbaum_gompf_rewrite(x, "T2", b, "T1")
-    tup = invariant_tuple(result)
-    assert tup["euler"] == x.euler + b.euler + 2
-    assert tup["b2"] == x.b2 + b.b2 + 4
-    assert tup["signature"] == x.signature + b.signature
-    assert tup["b1"] == 0
