@@ -50,7 +50,9 @@ from .surgery import (
     knot_surgery,
     loop_surgery,
     mandelbaum_gompf_hypotheses,
+    prune_trie,
     sphere_surgery,
+    step_key,
 )
 
 REPORT_FORMAT = "exolink/report/v1"
@@ -333,6 +335,9 @@ def run_recipe(cfg: RecipeConfig) -> dict:
     t1_label, t2_label = roles["T1"], roles["T2"]
     block = _group_block(cfg)
     loops = _loop_labels(cfg)
+    # one replay trie for this run: sphere surgery and dissolution replay
+    # their shared trace prefixes once (see `build_from_trace`)
+    memo: dict = {}
     rep = _Report(cfg, spec_data)
     rep.add_record("M", base)
     rep.add_record("B_G", block)
@@ -364,10 +369,10 @@ def run_recipe(cfg: RecipeConfig) -> dict:
     _certify_smooth_inequivalence(rep, cfg, z_records)
     ambient = _certify_ambient(rep, cfg, base, zstar_records)
     _certify_topological_isotopy(rep, cfg, base, zstar_records)
-    _certify_surgery_consistency(rep, cfg, z_records, zstar_records, links)
+    _certify_surgery_consistency(rep, cfg, z_records, zstar_records, links, memo)
     rep.data["certificates"]["symmetry"] = _symmetry_section(rep, cfg, block, zstar_records, loops)
     rep.data["certificates"]["brunnian"] = brunnian_certificate_section(
-        rep, cfg, base, t2_label, z_records
+        rep, cfg, base, t2_label, z_records, memo
     )
 
     partition = validate_certificate_partition(rep.data)
@@ -580,10 +585,10 @@ def _certify_topological_isotopy(rep: _Report, cfg: RecipeConfig, base, zstar_re
     }
 
 
-def _certify_surgery_consistency(rep, cfg, z_records, zstar_records, links) -> None:
+def _certify_surgery_consistency(rep, cfg, z_records, zstar_records, links, memo) -> None:
     per_knot = {}
     for name, zs in zstar_records.items():
-        current = sphere_surgery(zs, *links[name])
+        current = sphere_surgery(zs, *links[name], memo=memo)
         same = same_json(record_to_json(current), record_to_json(z_records[name]))
         per_knot[name] = same
         rep.check(
@@ -651,13 +656,16 @@ def _symmetry_section(rep, cfg: RecipeConfig, block, zstar_records, loops) -> di
     }
 
 
-def brunnian_certificate_section(rep, cfg: RecipeConfig, base, t2_label, z_records) -> dict:
+def brunnian_certificate_section(
+    rep, cfg: RecipeConfig, base, t2_label, z_records, memo: dict | None = None
+) -> dict:
     """Assemble the Brunnian-type section of the report.
 
     For a surface group configuration the strong conclusion is not
     available and the section says so; for a free configuration it
     records the stabilization byte-identity, the rewrite-rule hypothesis
-    branch, and the explicit pigeonhole over framing buckets.
+    branch, and the explicit pigeonhole over framing buckets.  ``memo`` is
+    the replay trie of `build_from_trace` that the dissolutions share.
     """
     if cfg.group_kind != "free":
         note = (
@@ -679,7 +687,7 @@ def brunnian_certificate_section(rep, cfg: RecipeConfig, base, t2_label, z_recor
     cores = []
     for z in z_records.values():
         stabilized = connected_sum(z, standard_block("S2xS2"))
-        dissolved = dissolve_knot_surgery_after_stabilization(stabilized)
+        dissolved = dissolve_knot_surgery_after_stabilization(stabilized, memo)
         cores.append({k: v for k, v in record_to_json(dissolved).items() if k != "trace"})
     names = list(z_records)
     identical = bool(cores) and all(same_json(cores[0], core) for core in cores[1:])
@@ -923,6 +931,14 @@ def verify_trace_report(report: dict, step: int | None = None) -> dict:
     intermediate invariants are reported; no byte comparison is possible
     mid-trace.
 
+    The replays share one trie of replayed prefixes (see
+    `build_from_trace`), so a record whose trace extends another's, like
+    ``M`` inside every ``Z[k]`` and ``Z[k]`` inside ``Zstar[k]``, resumes
+    from it.  Records replay in the order of their step keys, where a trace
+    comes right before its extensions; a branch that the next trace leaves
+    is never entered again, so it is dropped from the trie.  The stored
+    records are only ever compared with, never replayed from.
+
     Raises ValueError, naming the record, when ``records`` is not an
     object or a record, its trace or a trace step is not the JSON shape a
     report writes; a wrong-typed field inside a step, like a missing one,
@@ -933,7 +949,7 @@ def verify_trace_report(report: dict, step: int | None = None) -> dict:
     records = report.get("records", {})
     if not isinstance(records, dict):
         raise ValueError("report 'records' must be an object")
-    results = {}
+    traces, keys = {}, {}
     for name in sorted(records):
         stored = records[name]
         if not isinstance(stored, dict):
@@ -941,29 +957,42 @@ def verify_trace_report(report: dict, step: int | None = None) -> dict:
         trace = stored.get("trace", [])
         if not isinstance(trace, list) or not all(isinstance(s, dict) for s in trace):
             raise ValueError(f"record {name!r}: trace must be a list of objects")
-        entry: dict = {"steps": len(trace)}
+        traces[name] = trace
+        keys[name] = tuple(step_key(s) for s in trace[:step])
+    order = sorted(keys, key=keys.__getitem__)
+    memo: dict = {}
+    results = {}
+    for i, name in enumerate(order):
+        stored = records[name]
+        entry: dict = {"steps": len(traces[name])}
         try:
+            rebuilt = build_from_trace(traces[name][:step], memo=memo)
             if step is None:
-                rebuilt = record_to_json(build_from_trace(trace))
-                entry["identical"] = same_json(rebuilt, stored)
+                rebuilt_json = record_to_json(rebuilt)
+                entry["identical"] = same_json(rebuilt_json, stored)
                 if not entry["identical"]:
                     entry["differs"] = sorted(
                         key
-                        for key in rebuilt.keys() | stored.keys()
-                        if key not in rebuilt
+                        for key in rebuilt_json.keys() | stored.keys()
+                        if key not in rebuilt_json
                         or key not in stored
-                        or not same_json(rebuilt[key], stored[key])
+                        or not same_json(rebuilt_json[key], stored[key])
                     )
             else:
-                upto = min(step, len(trace))
-                partial = build_from_trace(trace[:upto])
-                entry["replayed_steps"] = upto
-                entry["invariants"] = invariant_tuple(partial)
+                entry["replayed_steps"] = min(step, len(traces[name]))
+                entry["invariants"] = invariant_tuple(rebuilt)
         except (ValueError, LookupError, TypeError, AttributeError) as exc:
             entry["error"] = str(exc)
             entry["identical"] = False
         results[name] = entry
+        following = keys[order[i + 1]] if i + 1 < len(order) else ()
+        prune_trie(memo, keys[name], following)
     ok = all(
         e.get("identical", True) and "error" not in e for e in results.values()
     )
-    return {"format": "exolink/trace-report/v1", "records": results, "pass": ok}
+    return {
+        "format": "exolink/trace-report/v1",
+        "records": {name: results[name] for name in sorted(results)},
+        "pass": ok,
+    }
+

@@ -14,6 +14,7 @@ only when the surviving form certifies evenness.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 from .groupring import GroupRingElement, embed_knot_poly_at_class
@@ -524,20 +525,25 @@ def _belt_step(m: ManifoldRecord, sphere_label: str) -> int:
     )
 
 
-def sphere_surgery(m: ManifoldRecord, *sphere_labels: str) -> ManifoldRecord:
+def sphere_surgery(
+    m: ManifoldRecord, *sphere_labels: str, memo: dict | None = None
+) -> ManifoldRecord:
     """Undo the loop surgeries that created the named belt spheres, by replay.
 
     Replaces each D^2 x S^2 back by S^1 x D^3: the trace steps that created
     the named components are removed and the record is rebuilt once, so the
     result is field-for-field the record that never did those surgeries,
-    and the same as surgering the components one at a time.
+    and the same as surgering the components one at a time.  ``memo`` is
+    the replay trie of `build_from_trace`.
     """
     if not sphere_labels:
         raise SurgeryError("sphere surgery needs at least one link component")
     if len(set(sphere_labels)) != len(sphere_labels):
         raise SurgeryError(f"link components named more than once: {sphere_labels}")
     drop = {_belt_step(m, label) for label in sphere_labels}
-    return build_from_trace(tuple(s for i, s in enumerate(m.trace) if i not in drop))
+    return build_from_trace(
+        tuple(s for i, s in enumerate(m.trace) if i not in drop), memo=memo
+    )
 
 
 def _zero_log_transform(m: ManifoldRecord, torus_label: str) -> ManifoldRecord:
@@ -644,46 +650,94 @@ def connected_sum(a: ManifoldRecord, b: ManifoldRecord) -> ManifoldRecord:
 # -- trace replay ----------------------------------------------------------------
 
 
-def build_from_trace(trace) -> ManifoldRecord:
-    """Rebuild a record by replaying its provenance trace from the base step."""
+def step_key(step: dict) -> str:
+    """A trace step's key in a replay trie: its compact, key-sorted JSON."""
+    return json.dumps(step, sort_keys=True, separators=(",", ":"))
+
+
+def build_from_trace(trace, memo: dict | None = None) -> ManifoldRecord:
+    """Rebuild a record by replaying its provenance trace from the base step.
+
+    ``memo`` is an optional replay trie that the replays of one command
+    share.  It maps each first step's `step_key` to a node
+    ``(record, children)``: the record replayed up to that step, and the
+    trie of the steps that extend it.  A replay resumes from the longest
+    prefix of its trace already in the trie, and nested ``other_trace``
+    replays use the same trie, so each distinct prefix is replayed once.
+    Operations are deterministic, so equal prefixes give equal records.
+    The trie only ever holds replayed records, never one built forward, so
+    comparing a replay with a forward-built record stays a real check.
+    """
     steps = list(trace)
     if not steps or steps[0].get("op") != "base":
         raise ValueError("trace must start with a base constructor step")
-    base = steps[0]
-    ctor = base.get("constructor")
-    if ctor not in BASE_CONSTRUCTORS:
-        raise ValueError(f"unknown base constructor {ctor!r}")
-    record = BASE_CONSTRUCTORS[ctor](base.get("args", {}))
-    for step in steps[1:]:
-        op = step.get("op")
-        if op == "knot_surgery":
-            knot = KnotRecord.from_braid(step["knot"]["name"], step["knot"]["braid"])
-            record = knot_surgery(record, step["torus"], knot)
-        elif op == "fiber_sum":
-            other = build_from_trace(step["other_trace"])
-            pairing = step.get("framing_pairing")
-            record = fiber_sum(
-                record,
-                step["torus"],
-                other,
-                step["other_torus"],
-                None if pairing is None else (pairing[0], pairing[1]),
-            )
-        elif op == "loop_surgery":
-            record = loop_surgery(
-                record,
-                step["loop"],
-                word=step.get("word"),
-                nullhomotopic=step.get("nullhomotopic", False),
-            )
-        elif op == "connected_sum":
-            other = build_from_trace(step["other_trace"])
-            record = connected_sum(record, other)
-        elif op == "note":
-            record = replace(record, trace=record.trace + (dict(step),))
+    record = None
+    level = memo
+    for step in steps:
+        if level is not None:
+            key = step_key(step)
+            node = level.get(key)
+            if node is None:
+                node = level[key] = (_replay_step(record, step, memo), {})
+            record, level = node
         else:
-            raise ValueError(f"unknown trace op {op!r}")
+            record = _replay_step(record, step, memo)
     return record
+
+
+def prune_trie(memo: dict, path: tuple[str, ...], following: tuple[str, ...]) -> None:
+    """Drop the branch of a replay trie that a replay along ``path`` built
+    below its longest common prefix with the replay along ``following``.
+
+    Both are tuples of `step_key`s.  When replays run in the sorted order of
+    their key tuples, no later replay re-enters that branch.
+    """
+    shared = 0
+    while shared < min(len(path), len(following)) and path[shared] == following[shared]:
+        shared += 1
+    level = memo
+    for key in path[:shared]:
+        node = level.get(key)
+        if node is None:  # the replay failed before this step
+            return
+        level = node[1]
+    if shared < len(path):
+        level.pop(path[shared], None)
+
+
+def _replay_step(record: ManifoldRecord | None, step: dict, memo: dict | None) -> ManifoldRecord:
+    """``record`` after one trace step; ``None`` stands before the base step."""
+    if record is None:
+        ctor = step.get("constructor")
+        if ctor not in BASE_CONSTRUCTORS:
+            raise ValueError(f"unknown base constructor {ctor!r}")
+        return BASE_CONSTRUCTORS[ctor](step.get("args", {}))
+    op = step.get("op")
+    if op == "knot_surgery":
+        knot = KnotRecord.from_braid(step["knot"]["name"], step["knot"]["braid"])
+        return knot_surgery(record, step["torus"], knot)
+    if op == "fiber_sum":
+        other = build_from_trace(step["other_trace"], memo=memo)
+        pairing = step.get("framing_pairing")
+        return fiber_sum(
+            record,
+            step["torus"],
+            other,
+            step["other_torus"],
+            None if pairing is None else (pairing[0], pairing[1]),
+        )
+    if op == "loop_surgery":
+        return loop_surgery(
+            record,
+            step["loop"],
+            word=step.get("word"),
+            nullhomotopic=step.get("nullhomotopic", False),
+        )
+    if op == "connected_sum":
+        return connected_sum(record, build_from_trace(step["other_trace"], memo=memo))
+    if op == "note":
+        return replace(record, trace=record.trace + (dict(step),))
+    raise ValueError(f"unknown trace op {op!r}")
 
 
 # -- literature rewrite rules ----------------------------------------------------
@@ -723,7 +777,9 @@ def _remove_at(trace, path):
     return tuple(steps), removed
 
 
-def dissolve_knot_surgery_after_stabilization(m: ManifoldRecord) -> ManifoldRecord:
+def dissolve_knot_surgery_after_stabilization(
+    m: ManifoldRecord, memo: dict | None = None
+) -> ManifoldRecord:
     """Erase a knot-surgery step from a trace that was later stabilized.
 
     Fires when the trace contains a knot-surgery step followed (at top
@@ -732,6 +788,10 @@ def dissolve_knot_surgery_after_stabilization(m: ManifoldRecord) -> ManifoldReco
     tracked invariants are unchanged, which is re-verified.  Applying the
     rule twice equals applying it once; a record that never had a knot
     surgery is refused.
+
+    The note, the one step that names the knot, comes last, so under a
+    shared ``memo`` (the replay trie of `build_from_trace`) the knot-free
+    prefix is replayed once for every knot dissolved from the same record.
     """
     path = _find_knot_step(m.trace)
     if path is None:
@@ -756,7 +816,7 @@ def dissolve_knot_surgery_after_stabilization(m: ManifoldRecord) -> ManifoldReco
         "knot": removed["knot"]["name"],
         "cite": CITE_DISSOLVE,
     }
-    rebuilt = build_from_trace(new_trace + (note,))
+    rebuilt = build_from_trace(new_trace + (note,), memo=memo)
     before, after = invariant_tuple(m), invariant_tuple(rebuilt)
     if before != after:
         raise SurgeryError(

@@ -117,6 +117,21 @@ def test_family_collision_names_the_pair(monkeypatch):
         twist_knot_family(4)
 
 
+@pytest.mark.parametrize("unit", ["t1", "-1"])
+def test_family_collision_up_to_a_unit_names_the_pair(monkeypatch, unit):
+    # alexander_poly normalises every braid it computes, so only a patched
+    # value can give a polynomial that equals an earlier one up to a unit
+    real = knots.alexander_poly
+    unit_multiple = real(parse_braid(TWIST_BRAIDS[1])) * from_text(unit, 1)
+    third = parse_braid(TWIST_BRAIDS[3])
+    monkeypatch.setattr(
+        knots, "alexander_poly", lambda braid: unit_multiple if braid == third else real(braid)
+    )
+    assert len(twist_knot_family(3)) == 3
+    with pytest.raises(ValueError, match="twist_1 and twist_3 agree up to units"):
+        twist_knot_family(4)
+
+
 def test_knot_record_from_braid_accepts_text():
     rec = KnotRecord.from_braid("trefoil", "2: s1^3")
     assert rec.name == "trefoil"

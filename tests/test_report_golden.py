@@ -1,8 +1,8 @@
-"""The README's recipe report and its replay, pinned byte for byte by sha256.
+"""The README's recipe report and its replays, pinned byte for byte by sha256.
 
 For a fixed configuration a report stays byte-identical unless the report
-format is bumped on purpose, so a change that moves either digest changes
-what the README command gives its users.  Both digests were taken with
+format is bumped on purpose, so a change that moves a digest changes what
+the README commands give their users.  The digests were taken with
 Python 3.11.
 """
 import hashlib
@@ -14,6 +14,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 REPORT_SHA256 = "4a7f80e6f0f918d927838adc0cd61872e39d42d2a4bcf5fa2b5f34b30f340844"
 VERIFY_TRACE_SHA256 = "156b9fd7389dfa11c1a37dac96a2a125192bdf8c177b84f83b3457f3f3986a38"
+VERIFY_TRACE_STEP3_SHA256 = "316c934a68bd929609a0211cea05bacb9af82ed1b587f55ddfe7118afc13b93b"
 
 
 def _sha256(data: bytes) -> str:
@@ -34,6 +35,9 @@ def test_readme_report_and_verify_trace_digests(tmp_path, capsys):
     assert _sha256(report.read_bytes()) == REPORT_SHA256
     assert main(["verify-trace", str(report)]) == 0
     assert _sha256(capsys.readouterr().out.encode("utf-8")) == VERIFY_TRACE_SHA256
+    # partial replay: Z[k] and Zstar[k] share their first three steps
+    assert main(["verify-trace", str(report), "--step", "3"]) == 0
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == VERIFY_TRACE_STEP3_SHA256
 
 
 def test_readme_report_ignores_the_environment(tmp_path, monkeypatch, capsys):

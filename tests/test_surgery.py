@@ -2,7 +2,7 @@
 import pytest
 
 from exolink.fixtures import spec_text
-from exolink.groupring import equal_up_to_units, to_text
+from exolink.groupring import embed_knot_poly_at_class, to_text
 from exolink.grouppres import recognize_free
 from exolink.knots import KnotRecord, twist_knot_family
 from exolink.manifold import (
@@ -103,10 +103,12 @@ def test_fiber_sum_with_kodaira_block():
         "pi1_torsion": [],
     }
     assert recognize_free(z.pi1, 10_000) == 2
-    # sw multiplies: knot factor times the block's relative factor pushed over
-    assert equal_up_to_units(
-        z.sw, m.sw * z.sw_factor if hasattr(z, "sw_factor") else z.sw, True
-    ).equal
+    # product rule: the unknotted fiber sum's sw times the trefoil's Alexander
+    # polynomial at twice the surgered torus class
+    unknotted = fiber_sum(even_base(), "T2", kodaira_thurston_block(2), "T")
+    factor = embed_knot_poly_at_class(TREFOIL.alexander, z.mark("T1").homology_class)
+    assert z.sw == unknotted.sw * factor
+    assert z.sw != unknotted.sw
     assert z.name == "M_even[trefoil]#N2"
 
 
