@@ -41,6 +41,7 @@ from .pipeline import (
     CertificateError,
     ConfigError,
     RecipeConfig,
+    report_records,
     run_recipe,
     validate_certificate_partition,
     verify_lemma_suite,
@@ -81,6 +82,7 @@ __all__ = [
     "recognize_surface",
     "record_from_json",
     "record_to_json",
+    "report_records",
     "run_recipe",
     "sphere_surgery",
     "standard_block",

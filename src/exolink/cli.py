@@ -26,6 +26,7 @@ from .pipeline import (
     RecipeConfig,
     parse_group_arg,
     parse_knots_arg,
+    report_records,
     run_recipe,
     verify_lemma_suite,
     verify_trace_report,
@@ -99,10 +100,11 @@ def _cmd_recipe_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         # admissibility violations are data errors in the spec file
         raise _UsageError(str(exc)) from exc
-    rendered = canonical_json(report)
+    # the whole report, rendered once, is the file and the stdout alike
+    rendered = canonical_json(report, indent=None) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
+            handle.write(rendered)
         summary = {
             "verdict": report["verdict"],
             "out": args.out,
@@ -113,7 +115,7 @@ def _cmd_recipe_run(args: argparse.Namespace) -> int:
         }
         print(canonical_json(summary))
     else:
-        print(rendered)
+        sys.stdout.write(rendered)
     return code
 
 
@@ -151,6 +153,7 @@ def _cmd_verify_trace(args: argparse.Namespace) -> int:
 
 
 def _render_report(report: dict) -> str:
+    records = report_records(report)
     lines = []
     cfg = report.get("config", {})
     lines.append(f"recipe report ({report.get('format', 'unversioned')})")
@@ -159,6 +162,8 @@ def _render_report(report: dict) -> str:
     lines.append(f"  knots:   {', '.join(k['name'] for k in knots)}")
     lines.append(f"  compare: {cfg.get('comparison_mode', '?')}")
     lines.append(f"  verdict: {report.get('verdict', '?')}")
+    steps = sum(len(r.get("trace", [])) for r in records.values())
+    lines.append(f"  records: {len(records)}, {steps} trace steps")
     checks = report.get("checks", [])
     passed = sum(1 for c in checks if c["pass"])
     lines.append(f"  checks:  {passed}/{len(checks)} passed")
@@ -198,7 +203,12 @@ def _render_report(report: dict) -> str:
 
 
 def _cmd_report_render(args: argparse.Namespace) -> int:
-    print(_render_report(_load_report(args.report)))
+    try:
+        text = _render_report(_load_report(args.report))
+    except ValueError as exc:
+        # records, or a key in them, that do not resolve
+        raise _UsageError(str(exc)) from exc
+    print(text)
     return 0
 
 

@@ -20,6 +20,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+# The interpreter's own sha256: importing hashlib would load OpenSSL, which
+# costs every command about 4 MB of resident memory and 3 ms of start-up.
+try:
+    from _sha256 import sha256  # CPython 3.11 and older
+except ImportError:
+    try:
+        from _sha2 import sha256  # CPython 3.12 and newer
+    except ImportError:
+        from hashlib import sha256
+
 from .groupring import GroupRingElement, from_text as ring_from_text, to_text as ring_to_text
 from .grouppres import (
     GroupPresentation,
@@ -257,20 +267,32 @@ def simplifies_trivial(p: GroupPresentation, budget: int | None = None) -> bool:
 # -- serialization ---------------------------------------------------------------
 
 
-def canonical_json(obj) -> str:
-    """Deterministic rendering used for report files and stdout."""
-    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": "))
+def canonical_json(obj, indent: int | None = 2) -> str:
+    """Deterministic rendering used for report files and stdout.
+
+    Indented by default; report files pass ``indent=None`` for the
+    `compact_json` rendering.
+    """
+    if indent is None:
+        return compact_json(obj)
+    return json.dumps(obj, sort_keys=True, indent=indent, separators=(",", ": "))
+
+
+def compact_json(obj) -> str:
+    """Deterministic compact rendering: report files and object keys.
+
+    Without ``indent`` ``json`` uses its C encoder.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def same_json(a, b) -> bool:
     """Whether ``canonical_json(a) == canonical_json(b)``, without rendering it.
 
     The compact rendering differs from the canonical one only in whitespace
-    outside strings, so the two have the same equality; without ``indent``
-    ``json`` uses its C encoder.
+    outside strings, so the two have the same equality.
     """
-    compact = {"sort_keys": True, "separators": (",", ":")}
-    return json.dumps(a, **compact) == json.dumps(b, **compact)
+    return compact_json(a) == compact_json(b)
 
 
 def record_to_json(record: ManifoldRecord) -> dict:
@@ -315,6 +337,158 @@ def record_from_json(data: dict) -> ManifoldRecord:
         flags=frozenset(data.get("flags", ())),
         trace=tuple(data.get("trace", ())),
     )
+
+
+# -- content-addressed object table ----------------------------------------------
+
+
+class ObjectMismatch(ValueError):
+    """An object of a table whose content does not hash to its key."""
+
+
+def object_key(text: str) -> str:
+    """The key of a value in an object table: the sha256 of its compact rendering."""
+    return sha256(text.encode()).hexdigest()
+
+
+class ObjectStore:
+    """A content-addressed table of JSON values: the storage of a v2 report.
+
+    Each value is stored once, under the `object_key` of its `compact_json`
+    rendering, as git stores its objects.  The object form of a record is
+    its `record_to_json` body with two changes: the Gram matrix is sparse,
+    ``{"n": N, "entries": [[i, j, x], ...]}`` for i <= j and x != 0, and
+    the trace is the key of a trace object ``{"parent": key | null,
+    "steps": [...]}``.  ``parent`` is the longest trace stored before that
+    is a proper prefix, so ``Zstar[k]`` points to ``Z[k]``, which points to
+    ``M``.  Inside a step each nested ``other_trace`` and the base step's
+    ``spec`` are keys too.
+
+    Values are stored as fresh copies, so the table shares no mutable value
+    with the records written or between two objects.  Each object is checked
+    against its key the first time it is read, unless this store wrote it.
+    What is read back shares values with the table, and expanded traces
+    share their steps: copy a value before editing it in place.
+    """
+
+    def __init__(self, objects: dict | None = None):
+        self.objects = {} if objects is None else objects
+        self._traces: dict[tuple[str, ...], str] = {}  # stored steps -> trace key
+        self._steps: dict[int, tuple[dict, dict, str]] = {}  # id -> step, stored, text
+        self._checked: set[str] = set()  # keys whose objects hash to them
+        self._expanded: dict[str, list] = {}  # trace key -> its expanded steps
+
+    def put(self, value, owned: bool = False) -> str:
+        """Store ``value`` and return its key.
+
+        The table keeps a copy, unless ``owned``: the caller hands over a
+        value that nothing else refers to.
+        """
+        text = compact_json(value)
+        key = object_key(text)
+        if key not in self.objects:
+            self.objects[key] = value if owned else json.loads(text)
+            self._checked.add(key)
+        return key
+
+    def put_trace(self, trace) -> str:
+        """Store a trace, given as its steps, and return its key.
+
+        Each step object is stored once per table, since the records of a
+        report share the steps of their common prefix: a step must not
+        change after it is stored (a record's trace never does).
+        """
+        steps = [self._stored_step(step) for step in trace]
+        path = tuple(text for _, text in steps)
+        key = self._traces.get(path)
+        if key is None:
+            start = next((n for n in range(len(path) - 1, 0, -1) if path[:n] in self._traces), 0)
+            parent = self._traces[path[:start]] if start else None
+            value = {"parent": parent, "steps": [stored for stored, _ in steps[start:]]}
+            key = self._traces[path] = self.put(value)
+        return key
+
+    def _stored_step(self, step: dict) -> tuple[dict, str]:
+        """``step`` with its nested trace and spec replaced by keys, and its
+        rendering."""
+        hit = self._steps.get(id(step))
+        if hit is None:
+            stored = dict(step)
+            if "other_trace" in stored:
+                stored["other_trace"] = self.put_trace(stored["other_trace"])
+            args = stored.get("args")
+            if stored.get("op") == "base" and isinstance(args, dict) and "spec" in args:
+                stored["args"] = {**args, "spec": self.put(args["spec"])}
+            # holding ``step`` keeps its id from being reused
+            hit = self._steps[id(step)] = (step, stored, compact_json(stored))
+        return hit[1], hit[2]
+
+    def put_record(self, record: ManifoldRecord) -> str:
+        """Store ``record`` in its object form and return its key."""
+        data = record_to_json(record)
+        rows = data["gram"]
+        entries = [[i, j, x] for i, row in enumerate(rows) for j, x in enumerate(row[i:], i) if x]
+        data["gram"] = {"n": len(rows), "entries": entries}
+        data["trace"] = self.put_trace(record.trace)
+        # record_to_json built every container of ``data`` but the trace
+        return self.put(data, owned=True)
+
+    def get(self, key):
+        """The object stored under ``key``, checked against its key once.
+
+        Raises ValueError when there is no such object, and ObjectMismatch
+        when its content does not hash to ``key``.
+        """
+        if not isinstance(key, str) or key not in self.objects:
+            raise ValueError(f"no object {key!r} in the table")
+        if key not in self._checked:
+            if object_key(compact_json(self.objects[key])) != key:
+                raise ObjectMismatch(f"object {key} does not hash to its key")
+            self._checked.add(key)
+        return self.objects[key]
+
+    def trace(self, key) -> list:
+        """The steps of the trace stored under ``key``, every key in them expanded."""
+        node = self.get(key)
+        steps = self._expanded.get(key)
+        if steps is None:
+            if not isinstance(node, dict) or not isinstance(node.get("steps"), list):
+                raise ValueError(f"object {key} is not a trace")
+            parent = node.get("parent")
+            steps = [] if parent is None else self.trace(parent)
+            steps += [self._read_step(step) for step in node["steps"]]
+            self._expanded[key] = steps
+        return list(steps)
+
+    def _read_step(self, step) -> dict:
+        if not isinstance(step, dict):
+            raise ValueError("a trace step is not an object")
+        step = dict(step)
+        if "other_trace" in step:
+            step["other_trace"] = self.trace(step["other_trace"])
+        args = step.get("args")
+        if step.get("op") == "base" and isinstance(args, dict) and "spec" in args:
+            step["args"] = {**args, "spec": self.get(args["spec"])}
+        return step
+
+    def record(self, key) -> dict:
+        """The record stored under ``key``, in its `record_to_json` form."""
+        obj = self.get(key)
+        try:
+            data = dict(obj)
+            gram, basis = data["gram"], data["basis"]
+            n = gram["n"]
+            if n != len(basis):
+                raise ValueError("the Gram rank does not match the basis")
+            rows = [[0] * n for _ in range(n)]
+            for i, j, x in gram["entries"]:
+                rows[i][j] = rows[j][i] = x
+            trace = data["trace"]
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            raise ValueError(f"object {key} is not a record: {exc}") from exc
+        data["gram"] = rows
+        data["trace"] = self.trace(trace)
+        return data
 
 
 # -- standard blocks -------------------------------------------------------------

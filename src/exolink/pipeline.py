@@ -31,6 +31,8 @@ from .knots import KnotRecord, braid_to_text, knot_from_spec
 from .lattice import indefinite_unimodular_iso, invariants
 from .manifold import (
     ManifoldRecord,
+    ObjectMismatch,
+    ObjectStore,
     admissible_from_spec,
     invariant_tuple,
     kodaira_thurston_block,
@@ -55,7 +57,7 @@ from .surgery import (
     step_key,
 )
 
-REPORT_FORMAT = "exolink/report/v1"
+REPORT_FORMAT = "exolink/report/v2"
 
 CITE_SW_DISTINGUISHES = (
     "distinct Seiberg-Witten elements obstruct any smooth equivalence of the "
@@ -187,10 +189,11 @@ class _Report:
 
     def __init__(self, cfg: RecipeConfig, spec_data: dict):
         self.cfg = cfg
+        self.store = ObjectStore()
         self.data: dict = {
             "format": REPORT_FORMAT,
             "config": {
-                "admissible_spec": spec_data,
+                "admissible_spec": self.store.put(spec_data),
                 "group": f"{cfg.group_kind}:{cfg.genus}",
                 "knots": [
                     {"name": k.name, "braid": braid_to_text(k.braid)}
@@ -200,13 +203,14 @@ class _Report:
                 "comparison_mode": cfg.comparison_mode,
             },
             "records": {},
+            "objects": self.store.objects,
             "certificates": {},
             "entries": [],
             "checks": [],
         }
 
     def add_record(self, name: str, record: ManifoldRecord) -> None:
-        self.data["records"][name] = record_to_json(record)
+        self.data["records"][name] = self.store.put_record(record)
 
     def add_entry(
         self,
@@ -243,16 +247,87 @@ class _Report:
         return passed
 
 
-def validate_certificate_partition(report: dict) -> list[str]:
+# -- report reading ---------------------------------------------------------------
+
+
+def _record_reader(report: dict, store: ObjectStore | None = None):
+    """``(names, read)``: the record names of a v1 or v2 report, and a
+    function that returns one record in its `record_to_json` form.
+    ``store`` is the `ObjectStore` that wrote the report's objects, if any.
+
+    A v1 report stores records in that form; a v2 report stores the key of
+    each record's object (see `ObjectStore`), which ``read`` expands, with
+    the Gram matrix made dense again.  What ``read`` returns shares values
+    with the report, so copy a value before editing it in place.  It
+    raises ValueError naming the record when the record is not an object,
+    its trace is not a list of objects, or it does not resolve: a key names
+    no object, or an object does not hash to its key (ObjectMismatch,
+    naming that key).  Raises ValueError at once when ``records``, or a v2
+    report's ``objects``, is not an object.
+    """
+    records = report.get("records", {})
+    if not isinstance(records, dict):
+        raise ValueError("report 'records' must be an object")
+    if report.get("format") == REPORT_FORMAT:
+        objects = report.get("objects")
+        if not isinstance(objects, dict):
+            raise ValueError("report 'objects' must be an object")
+        if store is None or store.objects is not objects:
+            store = ObjectStore(objects)
+
+        def load(name: str):
+            return store.record(records[name])
+
+    else:
+        load = records.__getitem__
+
+    def read(name: str) -> dict:
+        try:
+            stored = load(name)
+        except ValueError as exc:
+            raise type(exc)(f"record {name!r} does not resolve: {exc}") from exc
+        if not isinstance(stored, dict):
+            raise ValueError(f"record {name!r} is not an object")
+        trace = stored.get("trace", [])
+        if not isinstance(trace, list) or not all(isinstance(s, dict) for s in trace):
+            raise ValueError(f"record {name!r}: trace must be a list of objects")
+        return stored
+
+    return list(records), read
+
+
+def report_records(report: dict) -> dict[str, dict]:
+    """Every record of a v1 or v2 report by name, in its `record_to_json` form.
+
+    ``report render`` reads records through it; `verify_trace_report` and
+    `validate_certificate_partition` read them one by one through the same
+    reader, so that a record that does not resolve fails alone.  Raises
+    ValueError naming the first record that does not resolve.
+    """
+    names, read = _record_reader(report)
+    return {name: read(name) for name in names}
+
+
+def validate_certificate_partition(report: dict, store: ObjectStore | None = None) -> list[str]:
     """Schema-level soundness of the COMPUTED / TRUSTED split.
 
     COMPUTED entries may depend only on COMPUTED entries and must point at
     something re-derivable (a record with a trace, a dependency, or inline
     data).  TRUSTED entries must carry a citation, and every hypothesis
     they list must resolve to a COMPUTED entry; chained rules must resolve
-    to TRUSTED entries.  Returns the violation list (empty means valid).
+    to TRUSTED entries.  Returns the violation list (empty means valid); an
+    entry pointing at a record that does not resolve is a violation.
+    ``store`` is the `ObjectStore` that wrote the report's objects, whose
+    keys need no check.
     """
     violations: list[str] = []
+    names, read = _record_reader(report, store)
+    records, unresolved = {}, {}
+    for name in names:
+        try:
+            records[name] = read(name)
+        except ValueError as exc:
+            unresolved[name] = str(exc)
     entries = report.get("entries", [])
     by_id: dict[str, dict] = {}
     for entry in entries:
@@ -260,7 +335,6 @@ def validate_certificate_partition(report: dict) -> list[str]:
         if eid in by_id:
             violations.append(f"duplicate entry id {eid!r}")
         by_id[eid] = entry
-    records = report.get("records", {})
     for entry in entries:
         eid, status = entry.get("id"), entry.get("status")
         if status not in ("COMPUTED", "TRUSTED"):
@@ -276,7 +350,9 @@ def validate_certificate_partition(report: dict) -> list[str]:
                 )
         for name in entry.get("records", []):
             stored = records.get(name)
-            if stored is None:
+            if name in unresolved:
+                violations.append(f"{eid}: {unresolved[name]}")
+            elif stored is None:
                 violations.append(f"{eid}: references unknown record {name!r}")
             elif not stored.get("trace"):
                 violations.append(f"{eid}: record {name!r} has no replayable trace")
@@ -370,12 +446,17 @@ def run_recipe(cfg: RecipeConfig) -> dict:
     ambient = _certify_ambient(rep, cfg, base, zstar_records)
     _certify_topological_isotopy(rep, cfg, base, zstar_records)
     _certify_surgery_consistency(rep, cfg, z_records, zstar_records, links, memo)
+    # nothing replays a knot surgery from here on (each dissolution drops
+    # the knot step), so drop every branch below the base step that does
+    base_key = (step_key(base.trace[0]),)
+    for z in z_records.values():
+        prune_trie(memo, base_key + (step_key(z.trace[1]),), base_key)
     rep.data["certificates"]["symmetry"] = _symmetry_section(rep, cfg, block, zstar_records, loops)
     rep.data["certificates"]["brunnian"] = brunnian_certificate_section(
         rep, cfg, base, t2_label, z_records, memo
     )
 
-    partition = validate_certificate_partition(rep.data)
+    partition = validate_certificate_partition(rep.data, rep.store)
     rep.check(
         "partition",
         "certificate partition validates (computed never rests on a citation)",
@@ -939,29 +1020,37 @@ def verify_trace_report(report: dict, step: int | None = None) -> dict:
     is never entered again, so it is dropped from the trie.  The stored
     records are only ever compared with, never replayed from.
 
-    Raises ValueError, naming the record, when ``records`` is not an
-    object or a record, its trace or a trace step is not the JSON shape a
-    report writes; a wrong-typed field inside a step, like a missing one,
-    becomes that record's ``error`` entry.
+    Reads v1 and v2 reports alike (see `report_records`).  Raises
+    ValueError, naming the record, when ``records`` is not an object, a
+    record, its trace or a trace step is not the JSON shape a report
+    writes, or a key names no object.  A record that reaches an object
+    whose content does not hash to its key is not replayed; the key is
+    named in that record's ``error`` entry, as is a wrong-typed or missing
+    field inside a step.
     """
     if step is not None and step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
-    records = report.get("records", {})
-    if not isinstance(records, dict):
-        raise ValueError("report 'records' must be an object")
-    traces, keys = {}, {}
-    for name in sorted(records):
-        stored = records[name]
-        if not isinstance(stored, dict):
-            raise ValueError(f"record {name!r} is not an object")
-        trace = stored.get("trace", [])
-        if not isinstance(trace, list) or not all(isinstance(s, dict) for s in trace):
-            raise ValueError(f"record {name!r}: trace must be a list of objects")
-        traces[name] = trace
-        keys[name] = tuple(step_key(s) for s in trace[:step])
+    names, read = _record_reader(report)
+    records, traces, keys, results = {}, {}, {}, {}
+    # the records read from a v2 report share the step objects of their
+    # common prefixes, so each step's key is rendered once
+    step_keys: dict[int, str] = {}
+
+    def key(s: dict) -> str:
+        if id(s) not in step_keys:
+            step_keys[id(s)] = step_key(s)
+        return step_keys[id(s)]
+
+    for name in sorted(names):
+        try:
+            stored = records[name] = read(name)
+        except ObjectMismatch as exc:
+            results[name] = {"error": str(exc), "identical": False}
+            continue
+        traces[name] = stored.get("trace", [])
+        keys[name] = tuple(key(s) for s in traces[name][:step])
     order = sorted(keys, key=keys.__getitem__)
     memo: dict = {}
-    results = {}
     for i, name in enumerate(order):
         stored = records[name]
         entry: dict = {"steps": len(traces[name])}

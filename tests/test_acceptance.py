@@ -46,6 +46,7 @@ from exolink.manifold import (
 from exolink.pipeline import (
     CertificateError,
     RecipeConfig,
+    report_records,
     run_recipe,
     validate_certificate_partition,
     verify_lemma_suite,
@@ -227,7 +228,7 @@ def test_criterion_7_recipe_end_to_end():
             knot_surgery(base, "T1", trefoil), "T2", kodaira_thurston_block(2), "T"
         )
         zstar = loop_surgery(loop_surgery(z, "loop_b1"), "loop_b2")
-        stored_reference = report["records"]["ambient_reference"]
+        stored_reference = report_records(report)["ambient_reference"]
         assert indefinite_unimodular_iso(
             zstar.form, IntSymMatrix.from_rows(stored_reference["gram"])
         )

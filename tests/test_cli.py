@@ -13,7 +13,7 @@ import pytest
 from exolink.cli import main
 from exolink.fixtures import spec_text
 from exolink.knots import twist_knot_family
-from exolink.manifold import canonical_json
+from exolink.manifold import ObjectStore, compact_json
 from exolink.pipeline import RecipeConfig, run_recipe
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -71,7 +71,7 @@ def test_recipe_run_with_out_file(tmp_path, even_spec_file, capsys):
     assert summary["verdict"] == "pass"
     assert summary["checks"]["failed"] == 0
     report = json.loads(out.read_text(encoding="utf-8"))
-    assert report["format"] == "exolink/report/v1"
+    assert report["format"] == "exolink/report/v2"
     assert report["verdict"] == "pass"
 
 
@@ -90,7 +90,7 @@ def test_recipe_run_prints_report_without_out(even_spec_file, capsys):
     )
     assert code == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["format"] == "exolink/report/v1"
+    assert report["format"] == "exolink/report/v2"
 
 
 def test_recipe_run_usage_errors(tmp_path, even_spec_file, capsys):
@@ -160,7 +160,7 @@ def write_report(tmp_path) -> Path:
     )
     report = run_recipe(cfg)
     path = tmp_path / "report.json"
-    path.write_text(canonical_json(report) + "\n", encoding="utf-8")
+    path.write_text(compact_json(report) + "\n", encoding="utf-8")
     return path
 
 
@@ -177,7 +177,10 @@ def test_verify_trace_full_and_stepped(tmp_path, capsys):
 def test_verify_trace_catches_tampering(tmp_path, capsys):
     path = write_report(tmp_path)
     report = json.loads(path.read_text(encoding="utf-8"))
-    report["records"]["M"]["euler"] += 2
+    # edit M's stored euler, and store its object again under its new key
+    record = report["objects"][report["records"]["M"]]
+    record = {**record, "euler": record["euler"] + 2}
+    report["records"]["M"] = ObjectStore(report["objects"]).put(record)
     path.write_text(json.dumps(report), encoding="utf-8")
     assert main(["verify-trace", str(path)]) == 1
     payload = json.loads(capsys.readouterr().out)

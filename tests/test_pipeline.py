@@ -19,7 +19,7 @@ from exolink.pipeline import (
     verify_lemma_suite,
     verify_trace_report,
 )
-from exolink.manifold import canonical_json
+from exolink.manifold import ObjectStore, canonical_json
 
 
 def make_config(count=3, kind="free", genus=1, **kwargs):
@@ -37,7 +37,7 @@ def test_report_shape_and_determinism():
     first = run_recipe(cfg)
     second = run_recipe(make_config(3))
     assert canonical_json(first) == canonical_json(second)
-    assert first["format"] == "exolink/report/v1"
+    assert first["format"] == "exolink/report/v2"
     assert first["verdict"] == "pass"
     names = [k.name for k in cfg.knots]
     expected_records = {"M", "B_G", "ambient_reference"}
@@ -203,8 +203,11 @@ def test_trace_replay_full_stepped_and_tampered():
     with pytest.raises(ValueError, match="step must be >= 1"):
         verify_trace_report(report, step=0)
 
+    # a stored field, edited and stored again under the record's new key
     tampered = copy.deepcopy(report)
-    tampered["records"]["Z[twist_1]"]["euler"] += 2
+    record = tampered["objects"][tampered["records"]["Z[twist_1]"]]
+    record = {**record, "euler": record["euler"] + 2}
+    tampered["records"]["Z[twist_1]"] = ObjectStore(tampered["objects"]).put(record)
     broken = verify_trace_report(tampered)
     assert not broken["pass"]
     assert not broken["records"]["Z[twist_1]"]["identical"]

@@ -15,11 +15,17 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exolink import manifold, surgery
+from exolink import manifold, pipeline, surgery
 from exolink.fixtures import spec_text
 from exolink.knots import twist_knot_family
-from exolink.manifold import record_to_json, same_json
-from exolink.pipeline import CertificateError, RecipeConfig, run_recipe, verify_trace_report
+from exolink.manifold import ObjectStore, record_to_json, same_json
+from exolink.pipeline import (
+    CertificateError,
+    RecipeConfig,
+    report_records,
+    run_recipe,
+    verify_trace_report,
+)
 from exolink.surgery import build_from_trace
 
 SMALL_FAMILY = 3
@@ -39,13 +45,17 @@ def _config(count, genus=1):
 
 @cache
 def _small_report() -> dict:
-    # through JSON, as verify-trace reads it: no step dict is shared by records
-    return json.loads(json.dumps(run_recipe(_config(SMALL_FAMILY))))
+    return run_recipe(_config(SMALL_FAMILY))
+
+
+@cache
+def _small_records() -> dict:
+    return report_records(_small_report())
 
 
 @cache
 def _memo_less(name: str, steps: int) -> dict:
-    trace = _small_report()["records"][name]["trace"][:steps]
+    trace = _small_records()[name]["trace"][:steps]
     return record_to_json(build_from_trace(trace))
 
 
@@ -57,7 +67,7 @@ def _memo_less(name: str, steps: int) -> dict:
     ),
 )
 def test_shared_trie_replays_like_no_trie_in_any_order(order, prefixes):
-    records = _small_report()["records"]
+    records = _small_records()
     names = sorted(records)
     memo: dict = {}
     for index, steps in zip(order, prefixes):
@@ -81,6 +91,31 @@ def test_knot_step_left_in_the_dissolved_trace_fails_brunnian(monkeypatch):
     assert failed == ["brunnian_stabilization"]
 
 
+def _trie_ops(level: dict) -> set:
+    """The ops of the steps that key the nodes of a replay trie."""
+    ops = set()
+    for key, (_, children) in level.items():
+        ops.add(json.loads(key)["op"])
+        ops |= _trie_ops(children)
+    return ops
+
+
+def test_recipe_drops_knot_surgery_branches_before_dissolving(monkeypatch):
+    seen = []
+    real = pipeline.dissolve_knot_surgery_after_stabilization
+
+    def spy(m, memo=None):
+        seen.append(_trie_ops(memo))
+        return real(m, memo)
+
+    monkeypatch.setattr(pipeline, "dissolve_knot_surgery_after_stabilization", spy)
+    run_recipe(_config(SMALL_FAMILY))
+    assert len(seen) == SMALL_FAMILY
+    # the shared trie still holds the base, but no branch that sphere
+    # surgery built through a knot surgery
+    assert all("base" in ops and "knot_surgery" not in ops for ops in seen)
+
+
 def _failing(result: dict) -> dict:
     return {
         name: entry.get("differs")
@@ -89,26 +124,42 @@ def _failing(result: dict) -> dict:
     }
 
 
+def _edited(edits: dict) -> dict:
+    """A copy of the small report whose named records take the given fields
+    (``trace`` given as its steps), stored again under their new keys."""
+    edited = copy.deepcopy(_small_report())
+    store = ObjectStore(edited["objects"])
+    for name, changes in edits.items():
+        record = {**edited["objects"][edited["records"][name]], **changes}
+        if "trace" in changes:
+            record["trace"] = store.put_trace(changes["trace"])
+        edited["records"][name] = store.put(record)
+    return edited
+
+
 def test_tampered_record_fails_alone():
     report = _small_report()
     assert verify_trace_report(report)["pass"]
+    records = report_records(report)
 
     # a stored field: only Z[k] is compared with it
-    edited = copy.deepcopy(report)
-    edited["records"]["Z[twist_1]"]["euler"] += 2
+    edited = _edited({"Z[twist_1]": {"euler": records["Z[twist_1]"]["euler"] + 2}})
     assert _failing(verify_trace_report(edited)) == {"Z[twist_1]": ["euler"]}
 
     # the knot step of Z[twist_1]'s trace, made equal to twist_2's step: the
     # trie replays it as twist_2, and only Z[twist_1] is compared with that
-    knot_step = report["records"]["Z[twist_2]"]["trace"][1]
-    edited = copy.deepcopy(report)
-    edited["records"]["Z[twist_1]"]["trace"][1] = copy.deepcopy(knot_step)
+    knot_step = records["Z[twist_2]"]["trace"][1]
+    traces = {}
+    for name in ("Z[twist_1]", "Zstar[twist_1]"):
+        trace = list(records[name]["trace"])
+        trace[1] = knot_step
+        traces[name] = {"trace": trace}
+    edited = _edited({"Z[twist_1]": traces["Z[twist_1]"]})
     assert set(_failing(verify_trace_report(edited))) == {"Z[twist_1]"}
 
     # the same edit in every trace that holds the step: Z[twist_1] and
     # Zstar[twist_1], and no other knot's records
-    for name in ("Z[twist_1]", "Zstar[twist_1]"):
-        edited["records"][name]["trace"][1] = copy.deepcopy(knot_step)
+    edited = _edited(traces)
     # (the stored traces hold the edit; the stored fields still name twist_1)
     assert _failing(verify_trace_report(edited)) == {
         "Z[twist_1]": ["marks", "name", "rel_sw", "sw"],

@@ -12,7 +12,7 @@ from exolink.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-REPORT_SHA256 = "4a7f80e6f0f918d927838adc0cd61872e39d42d2a4bcf5fa2b5f34b30f340844"
+REPORT_SHA256 = "9d2fadc75b17f5e692a11f9042eaade5951bfecfffefe96a90facac6ed99cb97"
 VERIFY_TRACE_SHA256 = "156b9fd7389dfa11c1a37dac96a2a125192bdf8c177b84f83b3457f3f3986a38"
 VERIFY_TRACE_STEP3_SHA256 = "316c934a68bd929609a0211cea05bacb9af82ed1b587f55ddfe7118afc13b93b"
 
