@@ -13,8 +13,8 @@ equality and elements are safely hashable.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
 
 ExponentVector = tuple[int, ...]
 

@@ -12,6 +12,13 @@ Both take their determinant with the one fraction-free Bareiss routine over
 Z[t, t^-1], which a test checks against an independent determinant; beyond
 that the paths share nothing, so their agreement (asserted for the whole
 shipped family in tests) checks the two matrix constructions.
+
+The Laurent arithmetic of both paths is dense and private to this module:
+a polynomial is ``(lo, coeffs)``, the exponent of its lowest term and its
+integer coefficients from there up, with nonzero ends; zero is ``(0, ())``.
+Products, differences and exact quotients are loops over coefficient
+lists.  A result becomes a `GroupRingElement` once, just before
+`normalize_alexander`, so both paths return elements of Z[Z].
 """
 from __future__ import annotations
 
@@ -21,14 +28,6 @@ from functools import cache
 
 from .groupring import GroupRingElement, unit_normal_form
 from .grouppres import GroupPresentation, Word, free_reduce
-
-
-def _t(power: int = 1, coeff: int = 1) -> GroupRingElement:
-    return GroupRingElement.monomial(coeff, (power,))
-
-
-_ONE = GroupRingElement.one(1)
-_ZERO = GroupRingElement.zero(1)
 
 
 # -- braid words ----------------------------------------------------------------
@@ -124,78 +123,135 @@ def braid_to_text(braid: BraidWord) -> str:
 
 # -- Laurent arithmetic shared by both paths ---------------------------------
 
+# A Laurent polynomial c_0 t^lo + ... + c_d t^(lo + d) in Z[t, t^-1] is the
+# pair (lo, (c_0, ..., c_d)) with c_0 and c_d nonzero; zero is (0, ()).
+Laurent = tuple[int, tuple[int, ...]]
 
-def laurent_exact_div(num: GroupRingElement, den: GroupRingElement) -> GroupRingElement:
-    """Exact division in Z[t, t^-1]; raises if the division leaves a remainder."""
-    if den.is_zero:
-        raise ZeroDivisionError("division by zero polynomial")
-    if num.is_zero:
+_ZERO: Laurent = (0, ())
+_ONE: Laurent = (0, (1,))
+
+
+def _trim(lo: int, coeffs: list[int]) -> Laurent:
+    """The pair of t^lo * sum(coeffs[i] t^i), zero ends stripped."""
+    start, end = 0, len(coeffs)
+    while start < end and not coeffs[start]:
+        start += 1
+    if start == end:
         return _ZERO
-    n_lo = num.terms[0][0][0]
-    d_lo = den.terms[0][0][0]
-    ncoef = {e[0]: c for e, c in num.terms}
-    dcoef = {e[0]: c for e, c in den.terms}
-    n_hi = num.terms[-1][0][0]
-    d_hi = den.terms[-1][0][0]
-    lead = dcoef[d_hi]
-    quo: dict[int, int] = {}
-    work = dict(ncoef)
-    hi = n_hi
-    while any(work.values()):
-        hi = max(e for e, c in work.items() if c)
-        if hi - d_hi < n_lo - d_lo:
-            raise ValueError("polynomial division is not exact")
-        c = work[hi]
-        if c % lead != 0:
-            raise ValueError("polynomial division is not exact")
-        q = c // lead
-        shift = hi - d_hi
-        quo[shift] = q
-        for e, dc in dcoef.items():
-            work[e + shift] = work.get(e + shift, 0) - q * dc
-    return GroupRingElement.from_terms(1, {(e,): c for e, c in quo.items()})
+    while not coeffs[end - 1]:
+        end -= 1
+    return (lo + start, tuple(coeffs[start:end]))
 
 
-def _bareiss_laurent(rows: list[list[GroupRingElement]]) -> GroupRingElement:
-    """Fraction-free determinant over Z[t, t^-1] (Bareiss 1968, exact division)."""
+def _mul(a: Laurent, b: Laurent) -> Laurent:
+    (a_lo, ac), (b_lo, bc) = a, b
+    if not ac or not bc:
+        return _ZERO
+    out = [0] * (len(ac) + len(bc) - 1)
+    for i, x in enumerate(ac):
+        if x:
+            for k, y in enumerate(bc, i):
+                out[k] += x * y
+    # Z is a domain, so the end coefficients ac[0] * bc[0] and ac[-1] * bc[-1]
+    # are nonzero
+    return (a_lo + b_lo, tuple(out))
+
+
+def _sub(a: Laurent, b: Laurent) -> Laurent:
+    (a_lo, ac), (b_lo, bc) = a, b
+    if not bc:
+        return a
+    if not ac:
+        return (b_lo, tuple(-y for y in bc))
+    lo = min(a_lo, b_lo)
+    out = [0] * (max(a_lo + len(ac), b_lo + len(bc)) - lo)
+    for k, x in enumerate(ac, a_lo - lo):
+        out[k] = x
+    for k, y in enumerate(bc, b_lo - lo):
+        out[k] -= y
+    return _trim(lo, out)
+
+
+def laurent_exact_div(num: Laurent, den: Laurent) -> Laurent:
+    """Exact division in Z[t, t^-1]; raises if the division leaves a remainder.
+
+    Divides from the top degree down, as in Z[t]: both ends of ``den`` are
+    nonzero, so ``den`` divides ``num`` in Z[t, t^-1] exactly when its
+    coefficient list divides that of ``num`` in Z[t].
+    """
+    (n_lo, nc), (d_lo, dc) = num, den
+    if not dc:
+        raise ZeroDivisionError("division by zero polynomial")
+    if not nc:
+        return _ZERO
+    size = len(nc) - len(dc) + 1
+    if size < 1:
+        raise ValueError("polynomial division is not exact")
+    lead = dc[-1]
+    work = list(nc)
+    quo = [0] * size
+    for k in range(size - 1, -1, -1):
+        c = work[k + len(dc) - 1]
+        if c:
+            q, r = divmod(c, lead)
+            if r:
+                raise ValueError("polynomial division is not exact")
+            quo[k] = q
+            for i, d in enumerate(dc, k):
+                work[i] -= q * d
+    if any(work[: len(dc) - 1]):
+        raise ValueError("polynomial division is not exact")
+    # a remainder-free division ends on nonzero coefficients at both ends
+    return (n_lo - d_lo, tuple(quo))
+
+
+def _bareiss_laurent(rows: list[list[Laurent]]) -> Laurent:
+    """Fraction-free determinant over Z[t, t^-1] (Bareiss 1968, exact division).
+
+    Z[t, t^-1] is a domain, so every division by the previous pivot is exact
+    there, and `laurent_exact_div` takes it without moving rows into Z[t].
+    """
     m = len(rows)
     if m == 0:
         return _ONE
-    # shift every row into Z[t] so intermediate divisions stay polynomial
-    work: list[list[GroupRingElement]] = []
-    total_shift = 0
-    for row in rows:
-        lows = [e.terms[0][0][0] for e in row if not e.is_zero]
-        shift = -min(lows) if lows and min(lows) < 0 else 0
-        total_shift += shift
-        work.append([e.shift((shift,)) for e in row])
+    work = [list(row) for row in rows]
     sign = 1
     prev = _ONE
     for k in range(m - 1):
-        if work[k][k].is_zero:
-            pivot = next((i for i in range(k + 1, m) if not work[i][k].is_zero), None)
+        if not work[k][k][1]:
+            pivot = next((i for i in range(k + 1, m) if work[i][k][1]), None)
             if pivot is None:
                 return _ZERO
             work[k], work[pivot] = work[pivot], work[k]
             sign = -sign
+        top, pk = work[k], work[k][k]
         for i in range(k + 1, m):
+            row = work[i]
+            rk = row[k]
             for j in range(k + 1, m):
-                numer = work[i][j] * work[k][k] - work[i][k] * work[k][j]
-                work[i][j] = laurent_exact_div(numer, prev)
-        prev = work[k][k]
-    det = work[m - 1][m - 1] * sign
-    return det.shift((-total_shift,))
+                numer = _sub(_mul(row[j], pk), _mul(rk, top[j]))
+                row[j] = laurent_exact_div(numer, prev)
+        prev = pk
+    lo, coeffs = work[m - 1][m - 1]
+    return (lo, coeffs) if sign == 1 else (lo, tuple(-c for c in coeffs))
+
+
+def _to_element(poly: Laurent) -> GroupRingElement:
+    """``poly`` as an element of Z[Z], the form `normalize_alexander` takes."""
+    lo, coeffs = poly
+    return GroupRingElement(1, tuple(((e,), c) for e, c in enumerate(coeffs, lo) if c))
 
 
 # -- reduced Burau path ------------------------------------------------------
 
 
 # Column j = |letter| - 1 of the reduced Burau matrix of a letter, rows j-1,
-# j, j+1; every other column is the identity's.
-_BURAU_COLUMN = {1: (_t(1), _t(1, -1), _ONE), -1: (_ONE, _t(-1, -1), _t(-1))}
+# j, j+1, as (coefficient, exponent) of a monomial; every other column is the
+# identity's.
+_BURAU_COLUMN = {1: ((1, 1), (-1, 1), (1, 0)), -1: ((1, 0), (-1, -1), (1, -1))}
 
 
-def _burau_apply(rep: list[list[GroupRingElement]], letter: int) -> None:
+def _burau_apply(rep: list[list[Laurent]], letter: int) -> None:
     """Right-multiply ``rep`` in place by the reduced Burau matrix of ``letter``.
 
     That matrix is the identity outside column j = |letter| - 1, whose rows
@@ -206,11 +262,16 @@ def _burau_apply(rep: list[list[GroupRingElement]], letter: int) -> None:
     column = _BURAU_COLUMN[1 if letter > 0 else -1]
     lo, hi = max(j - 1, 0), min(j + 2, len(rep))
     for row in rep:
-        acc = _ZERO
-        for k in range(lo, hi):
-            if not row[k].is_zero:
-                acc = acc + row[k] * column[k - j + 1]
-        row[j] = acc
+        parts = [(row[k], column[k - j + 1]) for k in range(lo, hi) if row[k][1]]
+        if not parts:
+            row[j] = _ZERO
+            continue
+        start = min(p_lo + e for (p_lo, _), (_, e) in parts)
+        out = [0] * (max(p_lo + e + len(pc) for (p_lo, pc), (_, e) in parts) - start)
+        for (p_lo, pc), (c, e) in parts:
+            for i, x in enumerate(pc, p_lo + e - start):
+                out[i] += c * x
+        row[j] = _trim(start, out)
 
 
 @cache
@@ -230,15 +291,11 @@ def alexander_poly(braid: BraidWord) -> GroupRingElement:
     rep = [[_ONE if r == c else _ZERO for c in range(m)] for r in range(m)]
     for letter in braid.letters:
         _burau_apply(rep, letter)
-    delta = [
-        [(_ONE if r == c else _ZERO) - rep[r][c] for c in range(m)]
-        for r in range(m)
-    ]
+    delta = [[_sub(_ONE if r == c else _ZERO, rep[r][c]) for c in range(m)] for r in range(m)]
     det = _bareiss_laurent(delta)
-    one_minus_t = _ONE - _t(1)
-    one_minus_tn = _ONE - _t(braid.strands)
-    raw = laurent_exact_div(det * one_minus_t, one_minus_tn)
-    return normalize_alexander(raw)
+    one_minus_tn = (0, (1,) + (0,) * (braid.strands - 1) + (-1,))
+    raw = laurent_exact_div(_mul(det, (0, (1, -1))), one_minus_tn)
+    return normalize_alexander(_to_element(raw))
 
 
 def normalize_alexander(poly: GroupRingElement) -> GroupRingElement:
@@ -326,17 +383,18 @@ def wirtinger_presentation(braid: BraidWord) -> GroupPresentation:
     return GroupPresentation(names, relators)
 
 
-def _fox_derivative_abelianized(relator: Word, gen: int) -> GroupRingElement:
+def _fox_derivative_abelianized(relator: Word, gen: int) -> Laurent:
     """d(relator)/d(gen) with every meridian sent to t."""
-    acc: dict[tuple[int, ...], int] = {}
-    prefix = 0
+    n = len(relator)
+    out = [0] * (2 * n + 1)  # the coefficient of t^e at index e + n
+    prefix = n
     for letter in relator:
         if letter == gen:
-            acc[(prefix,)] = acc.get((prefix,), 0) + 1
+            out[prefix] += 1
         elif letter == -gen:
-            acc[(prefix - 1,)] = acc.get((prefix - 1,), 0) - 1
+            out[prefix - 1] -= 1
         prefix += 1 if letter > 0 else -1
-    return GroupRingElement.from_terms(1, acc)
+    return _trim(-n, out)
 
 
 def fox_alexander(braid: BraidWord) -> GroupRingElement:
@@ -355,7 +413,7 @@ def fox_alexander(braid: BraidWord) -> GroupRingElement:
     gens = len(pres.generators)
     rels = pres.relators
     if not rels or gens <= 1:
-        return normalize_alexander(_ONE)
+        return normalize_alexander(_to_element(_ONE))
     minor = [
         [_fox_derivative_abelianized(r, g) for g in range(2, gens + 1)]
         for r in rels[1:]
@@ -363,9 +421,9 @@ def fox_alexander(braid: BraidWord) -> GroupRingElement:
     if len(minor) != gens - 1:
         raise ValueError("Wirtinger matrix is not square; unexpected diagram")
     det = _bareiss_laurent(minor)
-    if det.is_zero:
+    if not det[1]:
         raise ValueError("the Alexander minor vanished; input is not a knot diagram")
-    return normalize_alexander(det)
+    return normalize_alexander(_to_element(det))
 
 
 # -- the twist-knot family ----------------------------------------------------

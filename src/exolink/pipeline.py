@@ -43,6 +43,7 @@ from .manifold import (
     standard_block,
 )
 from .surgery import (
+    ReplayTrie,
     SurgeryError,
     _zero_log_transform,
     build_from_trace,
@@ -54,7 +55,6 @@ from .surgery import (
     mandelbaum_gompf_hypotheses,
     prune_trie,
     sphere_surgery,
-    step_key,
 )
 
 REPORT_FORMAT = "exolink/report/v2"
@@ -413,7 +413,7 @@ def run_recipe(cfg: RecipeConfig) -> dict:
     loops = _loop_labels(cfg)
     # one replay trie for this run: sphere surgery and dissolution replay
     # their shared trace prefixes once (see `build_from_trace`)
-    memo: dict = {}
+    memo = ReplayTrie()
     rep = _Report(cfg, spec_data)
     rep.add_record("M", base)
     rep.add_record("B_G", block)
@@ -448,9 +448,9 @@ def run_recipe(cfg: RecipeConfig) -> dict:
     _certify_surgery_consistency(rep, cfg, z_records, zstar_records, links, memo)
     # nothing replays a knot surgery from here on (each dissolution drops
     # the knot step), so drop every branch below the base step that does
-    base_key = (step_key(base.trace[0]),)
+    base_key = (memo.key(base.trace[0]),)
     for z in z_records.values():
-        prune_trie(memo, base_key + (step_key(z.trace[1]),), base_key)
+        prune_trie(memo, base_key + (memo.key(z.trace[1]),), base_key)
     rep.data["certificates"]["symmetry"] = _symmetry_section(rep, cfg, block, zstar_records, loops)
     rep.data["certificates"]["brunnian"] = brunnian_certificate_section(
         rep, cfg, base, t2_label, z_records, memo
@@ -670,7 +670,9 @@ def _certify_surgery_consistency(rep, cfg, z_records, zstar_records, links, memo
     per_knot = {}
     for name, zs in zstar_records.items():
         current = sphere_surgery(zs, *links[name], memo=memo)
-        same = same_json(record_to_json(current), record_to_json(z_records[name]))
+        # Z[k] as the report stores it, read back rather than rendered again
+        stored = rep.store.record(rep.data["records"][f"Z[{name}]"])
+        same = same_json(record_to_json(current), stored)
         per_knot[name] = same
         rep.check(
             f"surgery_consistency/{name}",
@@ -1032,15 +1034,8 @@ def verify_trace_report(report: dict, step: int | None = None) -> dict:
         raise ValueError(f"step must be >= 1, got {step}")
     names, read = _record_reader(report)
     records, traces, keys, results = {}, {}, {}, {}
-    # the records read from a v2 report share the step objects of their
-    # common prefixes, so each step's key is rendered once
-    step_keys: dict[int, str] = {}
-
-    def key(s: dict) -> str:
-        if id(s) not in step_keys:
-            step_keys[id(s)] = step_key(s)
-        return step_keys[id(s)]
-
+    # the ordering keys and the replays render each step's key once
+    memo = ReplayTrie()
     for name in sorted(names):
         try:
             stored = records[name] = read(name)
@@ -1048,9 +1043,8 @@ def verify_trace_report(report: dict, step: int | None = None) -> dict:
             results[name] = {"error": str(exc), "identical": False}
             continue
         traces[name] = stored.get("trace", [])
-        keys[name] = tuple(key(s) for s in traces[name][:step])
+        keys[name] = tuple(memo.key(s) for s in traces[name][:step])
     order = sorted(keys, key=keys.__getitem__)
-    memo: dict = {}
     for i, name in enumerate(order):
         stored = records[name]
         entry: dict = {"steps": len(traces[name])}

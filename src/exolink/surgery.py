@@ -655,11 +655,33 @@ def step_key(step: dict) -> str:
     return json.dumps(step, sort_keys=True, separators=(",", ":"))
 
 
+class ReplayTrie(dict):
+    """The replay trie of one command (see `build_from_trace`), with the
+    `step_key` of each step it has met.
+
+    The records of a command share the step objects of their common trace
+    prefixes, so ``key`` renders each step object's key once.  A step must
+    not change once it is in a trace (a record's trace never does); the
+    cache holds each step, so that no other object can take its id.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._keys: dict[int, tuple[dict, str]] = {}
+
+    def key(self, step: dict) -> str:
+        hit = self._keys.get(id(step))
+        if hit is None:
+            hit = self._keys[id(step)] = (step, step_key(step))
+        return hit[1]
+
+
 def build_from_trace(trace, memo: dict | None = None) -> ManifoldRecord:
     """Rebuild a record by replaying its provenance trace from the base step.
 
     ``memo`` is an optional replay trie that the replays of one command
-    share.  It maps each first step's `step_key` to a node
+    share: a `ReplayTrie`, or a plain dict, under which every step's key is
+    rendered anew.  It maps each first step's `step_key` to a node
     ``(record, children)``: the record replayed up to that step, and the
     trie of the steps that extend it.  A replay resumes from the longest
     prefix of its trace already in the trie, and nested ``other_trace``
@@ -673,9 +695,10 @@ def build_from_trace(trace, memo: dict | None = None) -> ManifoldRecord:
         raise ValueError("trace must start with a base constructor step")
     record = None
     level = memo
+    key_of = memo.key if isinstance(memo, ReplayTrie) else step_key
     for step in steps:
         if level is not None:
-            key = step_key(step)
+            key = key_of(step)
             node = level.get(key)
             if node is None:
                 node = level[key] = (_replay_step(record, step, memo), {})

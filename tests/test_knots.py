@@ -235,6 +235,41 @@ def test_fox_route_agrees_on_random_knots(braid):
     assert equal_up_to_units(burau, fox, allow_inversion=True).equal
 
 
+def _torus_braid(p, q, first=1):
+    """(s_first ... s_{first+p-2})^q: the torus knot T(p, q) on strands first..first+p-1."""
+    return " ".join([" ".join(f"s{first + i}" for i in range(p - 1))] * q)
+
+
+def _torus_closed_form(blocks):
+    """The product over blocks (p, q) of (t^pq - 1)(t - 1)/((t^p - 1)(t^q - 1)),
+    centred on t^0, as an element."""
+    t = sympy.Symbol("t")
+    product = sympy.Integer(1)
+    for p, q in blocks:
+        product *= sympy.cancel((t ** (p * q) - 1) * (t - 1) / ((t**p - 1) * (t**q - 1)))
+    coeffs = sympy.Poly(sympy.expand(product), t).all_coeffs()[::-1]
+    half = (len(coeffs) - 1) // 2
+    return GroupRingElement.from_terms(1, {(i - half,): int(c) for i, c in enumerate(coeffs)})
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [[(p, p + 1)] for p in range(5, 10)] + [[(3, 4), (2, 5), (4, 5)]],
+    ids=lambda blocks: "+".join(f"T{p}_{q}" for p, q in blocks),
+)
+def test_wide_torus_braids_match_closed_form(blocks):
+    """Both routes on braids of 5 to 9 strands: torus knots, and a connected
+    sum made by chaining torus blocks on a shared strand."""
+    first, words = 1, []
+    for p, q in blocks:
+        words.append(_torus_braid(p, q, first))
+        first += p - 1
+    braid = parse_braid(f"{first}: " + " ".join(words))
+    expected = _torus_closed_form(blocks)
+    assert alexander_poly(braid) == expected
+    assert fox_alexander(braid) == expected
+
+
 _laurent = st.dictionaries(
     st.integers(-2, 2), st.integers(-3, 3), max_size=3
 ).map(lambda coeffs: GroupRingElement.from_terms(1, {(e,): c for e, c in coeffs.items()}))
@@ -256,6 +291,14 @@ def _to_sympy(poly, t):
     return sum((c * t**e for (e,), c in poly.terms), sympy.Integer(0))
 
 
+def _dense(poly):
+    """The (lo, coeffs) form of the knots kernel for a univariate element."""
+    if poly.is_zero:
+        return (0, ())
+    lo, hi = poly.terms[0][0][0], poly.terms[-1][0][0]
+    return (lo, tuple(poly.coefficient((e,)) for e in range(lo, hi + 1)))
+
+
 @settings(max_examples=80, deadline=None)
 @given(laurent_matrices())
 def test_bareiss_laurent_matches_sympy_det(rows):
@@ -264,5 +307,33 @@ def test_bareiss_laurent_matches_sympy_det(rows):
     t = sympy.Symbol("t")
     matrix = sympy.Matrix([[_to_sympy(e, t) for e in row] for row in rows])
     ref = matrix.det(method="berkowitz")
-    got = knots._bareiss_laurent([list(row) for row in rows])
+    got = knots._to_element(knots._bareiss_laurent([[_dense(e) for e in row] for row in rows]))
     assert sympy.expand(_to_sympy(got, t) - ref) == 0
+
+
+_wide_laurent = st.dictionaries(st.integers(-4, 4), st.integers(-9, 9), max_size=6).map(
+    lambda coeffs: GroupRingElement.from_terms(1, {(e,): c for e, c in coeffs.items()})
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_wide_laurent, _wide_laurent.filter(lambda d: not d.is_zero))
+def test_laurent_exact_div_inverts_multiplication(q, d):
+    assert knots.laurent_exact_div(_dense(q * d), _dense(d)) == _dense(q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_wide_laurent, _wide_laurent.filter(lambda d: len(d.terms) >= 2), st.data())
+def test_laurent_exact_div_refuses_a_non_multiple(q, d, data):
+    # every nonzero multiple of d spans at least as many degrees as d, so
+    # q * d + r, for a nonzero r of smaller span, is no multiple of d
+    span = d.terms[-1][0][0] - d.terms[0][0][0]
+    lo = data.draw(st.integers(-6, 6))
+    r = data.draw(
+        st.dictionaries(
+            st.integers(lo, lo + span - 1), st.integers(-9, 9).filter(bool), min_size=1
+        )
+    )
+    remainder = GroupRingElement.from_terms(1, {(e,): c for e, c in r.items()})
+    with pytest.raises(ValueError, match="not exact"):
+        knots.laurent_exact_div(_dense(q * d + remainder), _dense(d))
