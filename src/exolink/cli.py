@@ -208,6 +208,9 @@ def _cmd_report_render(args: argparse.Namespace) -> int:
     except ValueError as exc:
         # records, or a key in them, that do not resolve
         raise _UsageError(str(exc)) from exc
+    except (LookupError, TypeError, AttributeError) as exc:
+        # a check, an entry or the config with a field missing or mistyped
+        raise _UsageError(f"malformed report: {type(exc).__name__}: {exc}") from exc
     print(text)
     return 0
 

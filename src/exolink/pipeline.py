@@ -53,7 +53,6 @@ from .surgery import (
     knot_surgery,
     loop_surgery,
     mandelbaum_gompf_hypotheses,
-    prune_trie,
     sphere_surgery,
 )
 
@@ -109,6 +108,13 @@ class CertificateError(RuntimeError):
         self.report = report
 
 
+def _check_budget(budget: int | None) -> None:
+    # a negative budget would make every recognition run out at once, which
+    # reads like a negative answer
+    if budget is not None and budget < 0:
+        raise ConfigError(f"Tietze budget must be >= 0, got {budget}")
+
+
 @dataclass(frozen=True)
 class RecipeConfig:
     """Inputs to `run_recipe`, validated on construction."""
@@ -141,6 +147,7 @@ class RecipeConfig:
         names = [k.name for k in self.knots]
         if len(set(names)) != len(names):
             raise ConfigError("knot names must be distinct")
+        _check_budget(self.budget_tietze)
 
     @property
     def loop_count(self) -> int:
@@ -446,11 +453,6 @@ def run_recipe(cfg: RecipeConfig) -> dict:
     ambient = _certify_ambient(rep, cfg, base, zstar_records)
     _certify_topological_isotopy(rep, cfg, base, zstar_records)
     _certify_surgery_consistency(rep, cfg, z_records, zstar_records, links, memo)
-    # nothing replays a knot surgery from here on (each dissolution drops
-    # the knot step), so drop every branch below the base step that does
-    base_key = (memo.key(base.trace[0]),)
-    for z in z_records.values():
-        prune_trie(memo, base_key + (memo.key(z.trace[1]),), base_key)
     rep.data["certificates"]["symmetry"] = _symmetry_section(rep, cfg, block, zstar_records, loops)
     rep.data["certificates"]["brunnian"] = brunnian_certificate_section(
         rep, cfg, base, t2_label, z_records, memo
@@ -740,7 +742,7 @@ def _symmetry_section(rep, cfg: RecipeConfig, block, zstar_records, loops) -> di
 
 
 def brunnian_certificate_section(
-    rep, cfg: RecipeConfig, base, t2_label, z_records, memo: dict | None = None
+    rep, cfg: RecipeConfig, base, t2_label, z_records, memo: ReplayTrie
 ) -> dict:
     """Assemble the Brunnian-type section of the report.
 
@@ -895,6 +897,7 @@ def verify_lemma_suite(gmax: int, budget: int | None = None) -> dict:
     """
     if gmax < 1:
         raise ConfigError(f"gmax must be >= 1, got {gmax}")
+    _check_budget(budget)
     checks: list[dict] = []
     t2xs2 = standard_block("T2xS2")
 
@@ -1017,10 +1020,8 @@ def verify_trace_report(report: dict, step: int | None = None) -> dict:
     The replays share one trie of replayed prefixes (see
     `build_from_trace`), so a record whose trace extends another's, like
     ``M`` inside every ``Z[k]`` and ``Z[k]`` inside ``Zstar[k]``, resumes
-    from it.  Records replay in the order of their step keys, where a trace
-    comes right before its extensions; a branch that the next trace leaves
-    is never entered again, so it is dropped from the trie.  The stored
-    records are only ever compared with, never replayed from.
+    from it, whichever of the two replays first.  The stored records are
+    only ever compared with, never replayed from.
 
     Reads v1 and v2 reports alike (see `report_records`).  Raises
     ValueError, naming the record, when ``records`` is not an object, a
@@ -1033,23 +1034,18 @@ def verify_trace_report(report: dict, step: int | None = None) -> dict:
     if step is not None and step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
     names, read = _record_reader(report)
-    records, traces, keys, results = {}, {}, {}, {}
-    # the ordering keys and the replays render each step's key once
+    results = {}
     memo = ReplayTrie()
     for name in sorted(names):
         try:
-            stored = records[name] = read(name)
+            stored = read(name)
         except ObjectMismatch as exc:
             results[name] = {"error": str(exc), "identical": False}
             continue
-        traces[name] = stored.get("trace", [])
-        keys[name] = tuple(memo.key(s) for s in traces[name][:step])
-    order = sorted(keys, key=keys.__getitem__)
-    for i, name in enumerate(order):
-        stored = records[name]
-        entry: dict = {"steps": len(traces[name])}
+        trace = stored.get("trace", [])
+        entry: dict = {"steps": len(trace)}
         try:
-            rebuilt = build_from_trace(traces[name][:step], memo=memo)
+            rebuilt = build_from_trace(trace[:step], memo=memo)
             if step is None:
                 rebuilt_json = record_to_json(rebuilt)
                 entry["identical"] = same_json(rebuilt_json, stored)
@@ -1062,20 +1058,18 @@ def verify_trace_report(report: dict, step: int | None = None) -> dict:
                         or not same_json(rebuilt_json[key], stored[key])
                     )
             else:
-                entry["replayed_steps"] = min(step, len(traces[name]))
+                entry["replayed_steps"] = min(step, len(trace))
                 entry["invariants"] = invariant_tuple(rebuilt)
         except (ValueError, LookupError, TypeError, AttributeError) as exc:
             entry["error"] = str(exc)
             entry["identical"] = False
         results[name] = entry
-        following = keys[order[i + 1]] if i + 1 < len(order) else ()
-        prune_trie(memo, keys[name], following)
     ok = all(
         e.get("identical", True) and "error" not in e for e in results.values()
     )
     return {
         "format": "exolink/trace-report/v1",
-        "records": {name: results[name] for name in sorted(results)},
+        "records": results,
         "pass": ok,
     }
 

@@ -14,7 +14,6 @@ only when the surviving form certifies evenness.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 
 from .groupring import GroupRingElement, embed_knot_poly_at_class
@@ -39,6 +38,7 @@ from .manifold import (
     BASE_CONSTRUCTORS,
     ManifoldRecord,
     MarkedSubmanifold,
+    compact_json,
     invariant_tuple,
     simplifies_trivial,
     u_factor,
@@ -377,7 +377,7 @@ def fiber_sum(
         "op": "fiber_sum",
         "torus": torus_a,
         "other_torus": torus_b,
-        "other_trace": [dict(s) for s in b.trace],
+        "other_trace": list(b.trace),
         "framing_pairing": list(framing_pairing) if framing_pairing else None,
         "pi1_route": pi1_route,
         "cite": f"{CITE_TAUBES}; {CITE_RELATIVE_FACTORS}; {CITE_NOVIKOV}",
@@ -526,15 +526,16 @@ def _belt_step(m: ManifoldRecord, sphere_label: str) -> int:
 
 
 def sphere_surgery(
-    m: ManifoldRecord, *sphere_labels: str, memo: dict | None = None
+    m: ManifoldRecord, *sphere_labels: str, memo: ReplayTrie | None = None
 ) -> ManifoldRecord:
     """Undo the loop surgeries that created the named belt spheres, by replay.
 
     Replaces each D^2 x S^2 back by S^1 x D^3: the trace steps that created
     the named components are removed and the record is rebuilt once, so the
     result is field-for-field the record that never did those surgeries,
-    and the same as surgering the components one at a time.  ``memo`` is
-    the replay trie of `build_from_trace`.
+    and the same as surgering the components one at a time.  The rebuild
+    walks ``memo``, the command's replay trie (see `build_from_trace`), or
+    a fresh one.
     """
     if not sphere_labels:
         raise SurgeryError("sphere surgery needs at least one link component")
@@ -628,7 +629,7 @@ def connected_sum(a: ManifoldRecord, b: ManifoldRecord) -> ManifoldRecord:
     rel_labels.update(l for old, l in zip(b.marks, b_labels) if old.label in b.rel_sw_map())
     step = {
         "op": "connected_sum",
-        "other_trace": [dict(s) for s in b.trace],
+        "other_trace": list(b.trace),
         "cite": CITE_NOVIKOV,
         "delta": {"chi": b.euler - 2, "signature": invariants(b.form).signature},
     }
@@ -650,14 +651,9 @@ def connected_sum(a: ManifoldRecord, b: ManifoldRecord) -> ManifoldRecord:
 # -- trace replay ----------------------------------------------------------------
 
 
-def step_key(step: dict) -> str:
-    """A trace step's key in a replay trie: its compact, key-sorted JSON."""
-    return json.dumps(step, sort_keys=True, separators=(",", ":"))
-
-
 class ReplayTrie(dict):
-    """The replay trie of one command (see `build_from_trace`), with the
-    `step_key` of each step it has met.
+    """The replay trie of one command (see `build_from_trace`), with the key
+    of each step it has met: the step's `compact_json`.
 
     The records of a command share the step objects of their common trace
     prefixes, so ``key`` renders each step object's key once.  A step must
@@ -672,63 +668,41 @@ class ReplayTrie(dict):
     def key(self, step: dict) -> str:
         hit = self._keys.get(id(step))
         if hit is None:
-            hit = self._keys[id(step)] = (step, step_key(step))
+            hit = self._keys[id(step)] = (step, compact_json(step))
         return hit[1]
 
 
-def build_from_trace(trace, memo: dict | None = None) -> ManifoldRecord:
+def build_from_trace(trace, memo: ReplayTrie | None = None) -> ManifoldRecord:
     """Rebuild a record by replaying its provenance trace from the base step.
 
-    ``memo`` is an optional replay trie that the replays of one command
-    share: a `ReplayTrie`, or a plain dict, under which every step's key is
-    rendered anew.  It maps each first step's `step_key` to a node
-    ``(record, children)``: the record replayed up to that step, and the
-    trie of the steps that extend it.  A replay resumes from the longest
-    prefix of its trace already in the trie, and nested ``other_trace``
-    replays use the same trie, so each distinct prefix is replayed once.
-    Operations are deterministic, so equal prefixes give equal records.
-    The trie only ever holds replayed records, never one built forward, so
-    comparing a replay with a forward-built record stays a real check.
+    The replay walks ``memo``, the replay trie that the replays of one
+    command share, or a fresh one.  The trie maps each first step's key to
+    a node ``(record, children)``: the record replayed up to that step, and
+    the trie of the steps that extend it.  A replay resumes from the
+    longest prefix of its trace already in the trie, and nested
+    ``other_trace`` replays use the same trie, so each distinct prefix is
+    replayed once, whatever the order of the replays.  Operations are
+    deterministic, so equal prefixes give equal records.  The trie lives
+    as long as the command and only ever holds replayed records, never one
+    built forward, so comparing a replay with a forward-built record stays
+    a real check.
     """
     steps = list(trace)
     if not steps or steps[0].get("op") != "base":
         raise ValueError("trace must start with a base constructor step")
-    record = None
-    level = memo
-    key_of = memo.key if isinstance(memo, ReplayTrie) else step_key
+    if memo is None:
+        memo = ReplayTrie()
+    record, level = None, memo
     for step in steps:
-        if level is not None:
-            key = key_of(step)
-            node = level.get(key)
-            if node is None:
-                node = level[key] = (_replay_step(record, step, memo), {})
-            record, level = node
-        else:
-            record = _replay_step(record, step, memo)
+        key = memo.key(step)
+        node = level.get(key)
+        if node is None:
+            node = level[key] = (_replay_step(record, step, memo), {})
+        record, level = node
     return record
 
 
-def prune_trie(memo: dict, path: tuple[str, ...], following: tuple[str, ...]) -> None:
-    """Drop the branch of a replay trie that a replay along ``path`` built
-    below its longest common prefix with the replay along ``following``.
-
-    Both are tuples of `step_key`s.  When replays run in the sorted order of
-    their key tuples, no later replay re-enters that branch.
-    """
-    shared = 0
-    while shared < min(len(path), len(following)) and path[shared] == following[shared]:
-        shared += 1
-    level = memo
-    for key in path[:shared]:
-        node = level.get(key)
-        if node is None:  # the replay failed before this step
-            return
-        level = node[1]
-    if shared < len(path):
-        level.pop(path[shared], None)
-
-
-def _replay_step(record: ManifoldRecord | None, step: dict, memo: dict | None) -> ManifoldRecord:
+def _replay_step(record: ManifoldRecord | None, step: dict, memo: ReplayTrie) -> ManifoldRecord:
     """``record`` after one trace step; ``None`` stands before the base step."""
     if record is None:
         ctor = step.get("constructor")
@@ -759,7 +733,7 @@ def _replay_step(record: ManifoldRecord | None, step: dict, memo: dict | None) -
     if op == "connected_sum":
         return connected_sum(record, build_from_trace(step["other_trace"], memo=memo))
     if op == "note":
-        return replace(record, trace=record.trace + (dict(step),))
+        return replace(record, trace=record.trace + (step,))
     raise ValueError(f"unknown trace op {op!r}")
 
 
@@ -790,18 +764,20 @@ def _is_s2xs2_trace(trace) -> bool:
 
 
 def _remove_at(trace, path):
-    steps = [dict(s) for s in trace]
+    """``trace`` without the step at ``path``, and that step.  Only the steps
+    that contain it are rebuilt; every other step object is shared."""
+    steps = list(trace)
     if len(path) == 1:
         removed = steps.pop(path[0])
         return tuple(steps), removed
     head = path[0]
     sub, removed = _remove_at(steps[head]["other_trace"], path[1:])
-    steps[head]["other_trace"] = [dict(s) for s in sub]
+    steps[head] = {**steps[head], "other_trace": list(sub)}
     return tuple(steps), removed
 
 
 def dissolve_knot_surgery_after_stabilization(
-    m: ManifoldRecord, memo: dict | None = None
+    m: ManifoldRecord, memo: ReplayTrie | None = None
 ) -> ManifoldRecord:
     """Erase a knot-surgery step from a trace that was later stabilized.
 
@@ -815,6 +791,7 @@ def dissolve_knot_surgery_after_stabilization(
     The note, the one step that names the knot, comes last, so under a
     shared ``memo`` (the replay trie of `build_from_trace`) the knot-free
     prefix is replayed once for every knot dissolved from the same record.
+    The rebuilt trace shares every step object off the knot step's path.
     """
     path = _find_knot_step(m.trace)
     if path is None:

@@ -244,6 +244,30 @@ def test_report_render_human_summary(tmp_path, capsys):
     assert "brunnian subfamily bound:" in text
 
 
+def test_report_render_malformed_report_exits_2(tmp_path, capsys):
+    path = tmp_path / "malformed.json"
+    for report in (
+        {"checks": [{"id": "x"}]},
+        {"entries": [{"id": "e"}]},
+        {"config": {"knots": [1]}},
+    ):
+        path.write_text(json.dumps(report), encoding="utf-8")
+        assert main(["report", "render", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed report") and "Traceback" not in err
+
+
+def test_negative_tietze_budget_exits_2(even_spec_file, capsys):
+    recipe = ["recipe", "run", "--spec", str(even_spec_file), "--group", "free:1"]
+    for command in (
+        [*recipe, "--knots", "twist:0..1", "--budget-tietze", "-3"],
+        ["verify", "lemmas", "--gmax", "1", "--budget-tietze", "-1"],
+    ):
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert "Tietze budget must be >= 0" in captured.err and not captured.out
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "exolink" in capsys.readouterr().out

@@ -1,21 +1,20 @@
 """The replay trie shared by one command: the rules that keep its checks real.
 
 A trie of replayed prefixes lets `run_recipe` and `verify_trace_report`
-replay each distinct trace prefix once.  It must give the records a
-memo-less replay gives, in any replay order; it must never hold a stored
-or forward-built record, so a tampered record still fails; and a
+replay each distinct trace prefix once.  A shared trie must give the
+records a fresh one gives, in any replay order; it must never hold a
+stored or forward-built record, so a tampered record still fails; and a
 knot-dependent step left in a dissolved trace must still break the
 Brunnian check.
 """
 import copy
-import json
 from collections import Counter
 from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exolink import manifold, pipeline, surgery
+from exolink import manifold, surgery
 from exolink.fixtures import spec_text
 from exolink.knots import twist_knot_family
 from exolink.manifold import ObjectStore, record_to_json, same_json
@@ -26,7 +25,7 @@ from exolink.pipeline import (
     run_recipe,
     verify_trace_report,
 )
-from exolink.surgery import build_from_trace
+from exolink.surgery import ReplayTrie, build_from_trace
 
 SMALL_FAMILY = 3
 # M, B_G, ambient_reference, and Z[k] and Zstar[k] per knot
@@ -54,7 +53,7 @@ def _small_records() -> dict:
 
 
 @cache
-def _memo_less(name: str, steps: int) -> dict:
+def _fresh_trie(name: str, steps: int) -> dict:
     trace = _small_records()[name]["trace"][:steps]
     return record_to_json(build_from_trace(trace))
 
@@ -69,12 +68,12 @@ def _memo_less(name: str, steps: int) -> dict:
 def test_shared_trie_replays_like_no_trie_in_any_order(order, prefixes):
     records = _small_records()
     names = sorted(records)
-    memo: dict = {}
+    memo = ReplayTrie()
     for index, steps in zip(order, prefixes):
         name = names[index]
         trace = records[name]["trace"][:steps]
         rebuilt = record_to_json(build_from_trace(trace, memo=memo))
-        assert same_json(rebuilt, _memo_less(name, steps)), (name, steps)
+        assert same_json(rebuilt, _fresh_trie(name, steps)), (name, steps)
 
 
 def test_knot_step_left_in_the_dissolved_trace_fails_brunnian(monkeypatch):
@@ -89,31 +88,6 @@ def test_knot_step_left_in_the_dissolved_trace_fails_brunnian(monkeypatch):
         run_recipe(_config(SMALL_FAMILY))
     failed = [c["id"] for c in failure.value.report["checks"] if not c["pass"]]
     assert failed == ["brunnian_stabilization"]
-
-
-def _trie_ops(level: dict) -> set:
-    """The ops of the steps that key the nodes of a replay trie."""
-    ops = set()
-    for key, (_, children) in level.items():
-        ops.add(json.loads(key)["op"])
-        ops |= _trie_ops(children)
-    return ops
-
-
-def test_recipe_drops_knot_surgery_branches_before_dissolving(monkeypatch):
-    seen = []
-    real = pipeline.dissolve_knot_surgery_after_stabilization
-
-    def spy(m, memo=None):
-        seen.append(_trie_ops(memo))
-        return real(m, memo)
-
-    monkeypatch.setattr(pipeline, "dissolve_knot_surgery_after_stabilization", spy)
-    run_recipe(_config(SMALL_FAMILY))
-    assert len(seen) == SMALL_FAMILY
-    # the shared trie still holds the base, but no branch that sphere
-    # surgery built through a knot surgery
-    assert all("base" in ops and "knot_surgery" not in ops for ops in seen)
 
 
 def _failing(result: dict) -> dict:

@@ -1,6 +1,7 @@
 """Surgery operations: SW transformation, gluing, loop/sphere duality, replay."""
 import pytest
 
+from exolink import surgery
 from exolink.fixtures import spec_text
 from exolink.groupring import embed_knot_poly_at_class, to_text
 from exolink.grouppres import recognize_free
@@ -350,6 +351,54 @@ def test_mirrored_gluing_quotients_side_a_and_dissolves_nested_knot_step():
         assert dissolved.trace[-1]["knot"] == knot.name
         cores.append({k: v for k, v in record_to_json(dissolved).items() if k != "trace"})
     assert all(same_json(cores[0], core) for core in cores[1:])
+
+
+def test_sums_share_the_other_records_steps():
+    a = knot_surgery(even_base(), "T1", TREFOIL)
+    b = loop_surgery(kodaira_thurston_block(2), "loop_b1")
+    for total in (connected_sum(a, b), fiber_sum(a, "T2", b, "T")):
+        other = total.trace[-1]["other_trace"]
+        assert len(other) == len(b.trace)
+        assert all(mine is theirs for mine, theirs in zip(other, b.trace))
+
+
+def test_dissolved_trace_shares_steps_off_the_knot_path(monkeypatch):
+    replayed = []
+
+    def spy(trace, memo=None):
+        replayed.append(tuple(trace))
+        return build_from_trace(trace, memo)
+
+    monkeypatch.setattr(surgery, "build_from_trace", spy)
+
+    def dissolved_trace(stabilized):
+        replayed.clear()
+        dissolve_knot_surgery_after_stabilization(stabilized)
+        return replayed[0]
+
+    s2xs2 = standard_block("S2xS2")
+    block = kodaira_thurston_block(2)
+    surgered = knot_surgery(even_base(), "T1", TREFOIL)
+    # top level: the knot step is dropped and every other step is shared
+    stabilized = connected_sum(fiber_sum(surgered, "T2", block, "T"), s2xs2)
+    after = dissolved_trace(stabilized)
+    kept = [s for i, s in enumerate(stabilized.trace) if i != 1]
+    assert [s["op"] for s in after] == [s["op"] for s in kept] + ["note"]
+    assert all(mine is theirs for mine, theirs in zip(after, kept))
+    # the replayed record ends in that same note step
+    assert build_from_trace(after).trace[-1] is after[-1]
+    # nested, as in the mirrored gluing: only the fiber-sum step that holds
+    # the knot step is rebuilt, and the stabilized record keeps its own
+    stabilized = connected_sum(fiber_sum(block, "T", surgered, "T2"), s2xs2)
+    before, after = stabilized.trace, dissolved_trace(stabilized)
+    assert after[0] is before[0] and after[2] is before[2]
+    assert after[1] is not before[1]
+    assert {k: v for k, v in after[1].items() if k != "other_trace"} == {
+        k: v for k, v in before[1].items() if k != "other_trace"
+    }
+    assert len(after[1]["other_trace"]) == 1
+    assert after[1]["other_trace"][0] is before[1]["other_trace"][0]
+    assert [s["op"] for s in before[1]["other_trace"]] == ["base", "knot_surgery"]
 
 
 def test_dissolve_requires_stabilization():
