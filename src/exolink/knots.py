@@ -69,9 +69,6 @@ class BraidWord:
                     j = perm[j]
         return count
 
-    def conjugated(self, i: int) -> "BraidWord":
-        return BraidWord(self.strands, (i,) + self.letters + (-i,))
-
     def stabilized(self, sign: int = 1) -> "BraidWord":
         if sign not in (1, -1):
             raise ValueError("stabilization sign must be +1 or -1")
@@ -313,11 +310,6 @@ def normalize_alexander(poly: GroupRingElement) -> GroupRingElement:
     if at_one not in (1, -1):
         raise ValueError(f"value at 1 is {at_one}, not a unit; not a knot polynomial")
     return centered if at_one == 1 else -centered
-
-
-def is_symmetric(poly: GroupRingElement) -> bool:
-    """Palindromic check for a normalized (centered) polynomial."""
-    return poly == poly.invert_vars()
 
 
 # -- Wirtinger / Fox oracle path -----------------------------------------------

@@ -35,7 +35,10 @@ class IntSymMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntSymMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        rows = tuple(map(tuple, rows))
+        if not all(type(x) is int for row in rows for x in row):  # no floats, no bools
+            raise TypeError("matrix entries must be ints")
+        return cls(rows)
 
     @classmethod
     def diagonal(cls, entries: Sequence[int]) -> "IntSymMatrix":

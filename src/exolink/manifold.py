@@ -3,9 +3,10 @@
 A record tracks exactly the data the surgery calculus transforms: a finite
 presentation of the fundamental group, the Euler characteristic, the
 intersection Gram matrix over a labeled basis of H_2, an optional
-Seiberg-Witten element of the group ring Z[H_2] with relative factors
-attached to marked square-zero tori, and the marked submanifolds (tori,
-loops, sphere-link components) that later operations cut along.
+Seiberg-Witten element of the group ring Z[H_2], and the marked
+submanifolds (tori, loops, sphere-link components) that later operations
+cut along.  The relative factor sw * (t^-[T] - t^[T]) of a marked torus T
+is derived from sw on demand (`ManifoldRecord.rel_factor`), never stored.
 
 Records are immutable; every constructor seeds a replayable provenance
 trace and every surgery appends one step, so any record can be rebuilt
@@ -130,11 +131,15 @@ class MarkedSubmanifold:
 
     @classmethod
     def from_json(cls, data: dict) -> "MarkedSubmanifold":
+        label = _typed(data, "label", str)  # first: a mark that is no object fails here
         cls_field = data.get("class")
         complement = data.get("complement")
+        shape = None if complement is None else (type(complement), *map(type, complement))
+        if shape not in (None, (list, str, str)):
+            raise ValueError(f"mark complement must be [presentation, meridian]: {complement!r}")
         return cls(
             kind=data["kind"],
-            label=data["label"],
+            label=label,
             homology_class=None if cls_field is None else tuple(cls_field),
             pi1_words=tuple(data.get("pi1_words", ())),
             framing=data.get("framing", "product"),
@@ -154,8 +159,8 @@ class ManifoldRecord:
     basis: tuple[str, ...]
     sw: GroupRingElement | None
     sw_reason: str
-    rel_sw: tuple[tuple[str, GroupRingElement], ...]
     marks: tuple[MarkedSubmanifold, ...]
+    rel_tori: frozenset[str] = frozenset()  # tori with a relative factor
     flags: frozenset[str] = frozenset()
     trace: tuple[dict, ...] = ()
 
@@ -196,22 +201,14 @@ class ManifoldRecord:
                 )
             for text in mark.pi1_words:
                 self.pi1.word(text)
-        seen = set()
-        for label, factor in self.rel_sw:
-            if label in seen:
-                raise ValueError(f"duplicate relative factor for {label!r}")
-            seen.add(label)
+        if self.rel_tori and self.sw is None:
+            raise ValueError("relative factors need a tracked sw")
+        for label in self.rel_tori:
             mark = by_label.get(label)
-            if mark is None or mark.kind != "torus":
-                raise ValueError(f"relative factor {label!r} is not a marked torus")
-            if factor.nvars != b2:
-                raise ValueError("relative factor lives in the wrong group ring")
-            if self.sw is not None and mark.homology_class is not None:
-                expected = self.sw * u_factor(b2, mark.homology_class)
-                if factor != expected:
-                    raise ValueError(
-                        f"relative factor for {label!r} disagrees with sw"
-                    )
+            if mark is None or mark.kind != "torus" or not any(mark.homology_class or ()):
+                raise ValueError(
+                    f"relative factor {label!r} is not a marked torus with a nonzero class"
+                )
 
     @property
     def b1(self) -> int:
@@ -235,14 +232,11 @@ class ManifoldRecord:
                 return m
         raise KeyError(f"no mark labeled {label!r} in {self.name}")
 
-    def rel_sw_map(self) -> dict[str, GroupRingElement]:
-        return dict(self.rel_sw)
-
-    def self_intersection(self, label: str) -> int:
-        mark = self.mark(label)
-        if mark.homology_class is None:
-            return 0
-        return self.form.pair(mark.homology_class, mark.homology_class)
+    def rel_factor(self, label: str) -> GroupRingElement:
+        """The relative Seiberg-Witten factor of torus ``label``: sw * (t^-[T] - t^[T])."""
+        if label not in self.rel_tori:
+            raise KeyError(f"no relative factor for {label!r} in {self.name}")
+        return self.sw * u_factor(self.b2, self.mark(label).homology_class)
 
 
 def invariant_tuple(record: ManifoldRecord) -> dict:
@@ -305,7 +299,9 @@ def record_to_json(record: ManifoldRecord) -> dict:
         "gram": [list(row) for row in record.form.rows],
         "sw": None if record.sw is None else ring_to_text(record.sw),
         "sw_reason": record.sw_reason,
-        "rel_sw": {label: ring_to_text(f) for label, f in record.rel_sw},
+        "rel_sw": {
+            label: ring_to_text(record.rel_factor(label)) for label in sorted(record.rel_tori)
+        },
         "marks": [m.to_json() for m in record.marks],
         "flags": sorted(record.flags),
         "trace": [dict(step) for step in record.trace],
@@ -313,18 +309,15 @@ def record_to_json(record: ManifoldRecord) -> dict:
 
 
 def record_from_json(data: dict) -> ManifoldRecord:
+    """The record of a `record_to_json` document; ValueError if a stored
+    relative factor is not the one derived from its sw."""
     if data.get("format") != FORMAT_RECORD:
         raise ValueError(f"not a {FORMAT_RECORD} document")
     basis = tuple(data["basis"])
     b2 = len(basis)
     sw = None if data["sw"] is None else ring_from_text(data["sw"], b2)
-    rel = tuple(
-        sorted(
-            (label, ring_from_text(text, b2))
-            for label, text in data.get("rel_sw", {}).items()
-        )
-    )
-    return ManifoldRecord(
+    rel_sw = data.get("rel_sw", {})
+    record = ManifoldRecord(
         name=data["name"],
         pi1=GroupPresentation.parse(data["pi1"]),
         euler=data["euler"],
@@ -332,11 +325,15 @@ def record_from_json(data: dict) -> ManifoldRecord:
         basis=basis,
         sw=sw,
         sw_reason=data["sw_reason"],
-        rel_sw=rel,
         marks=tuple(MarkedSubmanifold.from_json(m) for m in data["marks"]),
+        rel_tori=frozenset(rel_sw),
         flags=frozenset(data.get("flags", ())),
         trace=tuple(data.get("trace", ())),
     )
+    for label, text in rel_sw.items():
+        if ring_from_text(text, b2) != record.rel_factor(label):
+            raise ValueError(f"relative factor for {label!r} disagrees with sw")
+    return record
 
 
 # -- content-addressed object table ----------------------------------------------
@@ -538,7 +535,6 @@ def standard_block(name: str) -> ManifoldRecord:
         name=name,
         sw=None,
         sw_reason="untracked (standard block)",
-        rel_sw=(),
         trace=({"op": "base", "constructor": "standard_block", "args": {"name": name}},),
         **fields,
     )
@@ -561,8 +557,7 @@ def product_T2_Sigma_g(g: int) -> ManifoldRecord:
         basis.extend((f"xa{i}", f"yb{i}", f"xb{i}", f"ya{i}"))
     b2 = len(basis)
     form = direct_sum(*([hyperbolic_pair()] * (2 * g + 1)))
-    u = u_factor(b2, unit_vector(b2, 0))
-    sw = u ** (2 * g - 2)
+    sw = u_factor(b2, unit_vector(b2, 0)) ** (2 * g - 2)
     pi1 = pi1_product_surface(g)
     complement_pres = GroupPresentation(pi1.generators, pi1.relators[:-1])
     meridian = word_to_text(pi1.relators[-1], pi1.generators)
@@ -621,8 +616,8 @@ def product_T2_Sigma_g(g: int) -> ManifoldRecord:
         basis=tuple(basis),
         sw=sw,
         sw_reason="tracked",
-        rel_sw=(("T", sw * u),),
         marks=tuple(marks),
+        rel_tori=frozenset({"T"}),
         trace=(
             {"op": "base", "constructor": "product_T2_Sigma_g", "args": {"g": g}},
         ),
@@ -647,8 +642,7 @@ def kodaira_thurston_block(g: int) -> ManifoldRecord:
         basis.extend((f"xb{i}", f"ya{i}"))
     b2 = len(basis)
     form = direct_sum(*([hyperbolic_pair()] * (g + 1)))
-    u = u_factor(b2, unit_vector(b2, 0))
-    sw = u ** (2 * g - 2)
+    sw = u_factor(b2, unit_vector(b2, 0)) ** (2 * g - 2)
     marks: list[MarkedSubmanifold] = [
         MarkedSubmanifold(
             kind="torus",
@@ -688,8 +682,8 @@ def kodaira_thurston_block(g: int) -> ManifoldRecord:
         basis=tuple(basis),
         sw=sw,
         sw_reason="tracked",
-        rel_sw=(("T", sw * u),),
         marks=tuple(marks),
+        rel_tori=frozenset({"T"}),
         trace=(
             {
                 "op": "base",
@@ -711,6 +705,14 @@ class AdmissibilityError(ValueError):
         super().__init__("; ".join(violations))
 
 
+def _typed(data: dict, key: str, kind: type):
+    """``data[key]``, which must be exactly a ``kind`` (so no bool for an int)."""
+    value = data[key]
+    if type(value) is not kind:
+        raise TypeError(f"{key!r} must be {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def admissible_from_spec(spec_text: str) -> ManifoldRecord:
     """Validate a manifold spec document and build its record.
 
@@ -725,26 +727,31 @@ def admissible_from_spec(spec_text: str) -> ManifoldRecord:
         data = json.loads(spec_text)
     except json.JSONDecodeError as exc:
         raise AdmissibilityError([f"spec is not valid JSON: {exc}"]) from exc
+    if type(data) is not dict:
+        raise AdmissibilityError(
+            [f"malformed spec: the document must be an object, got {type(data).__name__}"]
+        )
     if data.get("format") != FORMAT_SPEC:
         raise AdmissibilityError(
             [f"spec format must be {FORMAT_SPEC!r}, got {data.get('format')!r}"]
         )
     violations: list[str] = []
     try:
-        basis = tuple(str(b) for b in data["basis"])
-        form = IntSymMatrix.from_rows(data["gram"])
-        euler = int(data["euler"])
-        pi1 = GroupPresentation.parse(data["pi1"])
-        marks = tuple(MarkedSubmanifold.from_json(m) for m in data["marks"])
-        roles = {str(k): str(v) for k, v in data["admissible"].items()}
+        basis = tuple(str(b) for b in _typed(data, "basis", list))
+        form = IntSymMatrix.from_rows(_typed(data, "gram", list))
+        euler = _typed(data, "euler", int)
+        pi1 = GroupPresentation.parse(_typed(data, "pi1", str))
+        marks = tuple(MarkedSubmanifold.from_json(m) for m in _typed(data, "marks", list))
+        roles = {str(k): str(v) for k, v in _typed(data, "admissible", dict).items()}
+        sw_text = _typed(data, "sw", str)
         name = str(data.get("name", "M"))
     except (KeyError, ValueError, TypeError) as exc:
         raise AdmissibilityError([f"malformed spec: {exc}"]) from exc
     if len(basis) != form.n:
         raise AdmissibilityError(["basis labels do not match the Gram rank"])
     try:
-        sw = ring_from_text(data["sw"], form.n)
-    except (KeyError, ValueError) as exc:
+        sw = ring_from_text(sw_text, form.n)
+    except ValueError as exc:
         raise AdmissibilityError([f"malformed sw element: {exc}"]) from exc
 
     if not simplifies_trivial(pi1):
@@ -789,11 +796,6 @@ def admissible_from_spec(spec_text: str) -> ManifoldRecord:
     if violations:
         raise AdmissibilityError(violations)
 
-    rel: list[tuple[str, GroupRingElement]] = []
-    for role in ("T1", "T2"):
-        mark = mark_by_label[roles[role]]
-        assert mark.homology_class is not None
-        rel.append((mark.label, sw * u_factor(form.n, mark.homology_class)))
     return ManifoldRecord(
         name=name,
         pi1=pi1,
@@ -802,8 +804,8 @@ def admissible_from_spec(spec_text: str) -> ManifoldRecord:
         basis=basis,
         sw=sw,
         sw_reason="tracked",
-        rel_sw=tuple(sorted(rel)),
         marks=marks,
+        rel_tori=frozenset({roles["T1"], roles["T2"]}),
         trace=(
             {"op": "base", "constructor": "admissible_from_spec", "args": {"spec": data}},
         ),

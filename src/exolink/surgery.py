@@ -41,7 +41,6 @@ from .manifold import (
     compact_json,
     invariant_tuple,
     simplifies_trivial,
-    u_factor,
     unit_vector,
 )
 
@@ -81,18 +80,16 @@ def _carry(mark: MarkedSubmanifold, move_class=None, **changes) -> MarkedSubmani
     return replace(mark, homology_class=cls, complement=None, **changes)
 
 
-def _relative_factors(
+def _rel_tori(
     sw: GroupRingElement | None, marks: list[MarkedSubmanifold], labels: set[str]
-) -> tuple[tuple[str, GroupRingElement], ...]:
-    """sw * u(class) for each mark named in ``labels`` with a nonzero class."""
+) -> frozenset[str]:
+    """The marks named in ``labels`` with a nonzero class, if ``sw`` is tracked."""
     if sw is None:
-        return ()
-    return tuple(
-        sorted(
-            (m.label, sw * u_factor(len(m.homology_class), m.homology_class))
-            for m in marks
-            if m.label in labels and m.homology_class is not None and any(m.homology_class)
-        )
+        return frozenset()
+    return frozenset(
+        m.label
+        for m in marks
+        if m.label in labels and m.homology_class is not None and any(m.homology_class)
     )
 
 
@@ -104,7 +101,8 @@ def knot_surgery(m: ManifoldRecord, torus_label: str, knot: KnotRecord) -> Manif
 
     The fundamental group, Euler characteristic, and intersection form are
     untouched; the Seiberg-Witten element and every relative factor pick up
-    the knot's Alexander polynomial evaluated at twice the torus class.
+    the knot's Alexander polynomial evaluated at twice the torus class
+    (each factor is derived from the new sw, so only sw is multiplied).
     The torus keeps its position but its framing is retagged, since the new
     framing depends on the knot.
     """
@@ -124,9 +122,7 @@ def knot_surgery(m: ManifoldRecord, torus_label: str, knot: KnotRecord) -> Manif
         raise SurgeryError(
             f"sw untracked ({m.sw_reason}); the product rule has nothing to act on"
         )
-    factor = embed_knot_poly_at_class(knot.alexander, mark.homology_class)
-    sw = m.sw * factor
-    rel = tuple((label, f * factor) for label, f in m.rel_sw)
+    sw = m.sw * embed_knot_poly_at_class(knot.alexander, mark.homology_class)
     # A syntactically trivial braid reglues the same pieces back; any other
     # braid puts the knot group into the surgered torus's complement.
     surgered_flags = mark.flags
@@ -153,8 +149,8 @@ def knot_surgery(m: ManifoldRecord, torus_label: str, knot: KnotRecord) -> Manif
         basis=m.basis,
         sw=sw,
         sw_reason="tracked",
-        rel_sw=rel,
         marks=marks,
+        rel_tori=m.rel_tori,
         flags=m.flags,
         trace=m.trace + (step,),
     )
@@ -324,7 +320,8 @@ def fiber_sum(
         return word_to_text(shift_word(source.word(text), offset), names)
 
     # Seiberg-Witten element from the relative factors
-    fa, fb = a.rel_sw_map().get(torus_a), b.rel_sw_map().get(torus_b)
+    fa = a.rel_factor(torus_a) if torus_a in a.rel_tori else None
+    fb = b.rel_factor(torus_b) if torus_b in b.rel_tori else None
     if fa is not None and fb is not None:
         for (exps, _coeff) in fb.terms:
             if exps[jb] != 0:
@@ -370,8 +367,8 @@ def fiber_sum(
         )
         for old, label in zip(b_marks, b_labels)
     ]
-    rel_labels = {torus_a, *a.rel_sw_map()}
-    rel_labels.update(l for old, l in zip(b_marks, b_labels) if old.label in b.rel_sw_map())
+    rel_labels = {torus_a, *a.rel_tori}
+    rel_labels.update(l for old, l in zip(b_marks, b_labels) if old.label in b.rel_tori)
 
     step = {
         "op": "fiber_sum",
@@ -391,8 +388,8 @@ def fiber_sum(
         basis=new_basis,
         sw=sw,
         sw_reason=sw_reason,
-        rel_sw=_relative_factors(sw, marks, rel_labels),
         marks=tuple(marks),
+        rel_tori=_rel_tori(sw, marks, rel_labels),
         flags=frozenset(record_flags),
         trace=a.trace + (step,),
     )
@@ -504,7 +501,6 @@ def loop_surgery(
         basis=basis,
         sw=None,
         sw_reason="stabilized",
-        rel_sw=(),
         marks=tuple(marks),
         flags=frozenset(flags),
         trace=m.trace + (step,),
@@ -579,7 +575,6 @@ def _zero_log_transform(m: ManifoldRecord, torus_label: str) -> ManifoldRecord:
         basis=tuple(m.basis[i] for i in keep),
         sw=None,
         sw_reason="untracked (zero log transform)",
-        rel_sw=(),
         marks=marks,
         flags=m.flags,
     )
@@ -625,8 +620,8 @@ def connected_sum(a: ManifoldRecord, b: ManifoldRecord) -> ManifoldRecord:
         )
         for old, label in zip(b.marks, b_labels)
     ]
-    rel_labels = set(a.rel_sw_map())
-    rel_labels.update(l for old, l in zip(b.marks, b_labels) if old.label in b.rel_sw_map())
+    rel_labels = set(a.rel_tori)
+    rel_labels.update(l for old, l in zip(b.marks, b_labels) if old.label in b.rel_tori)
     step = {
         "op": "connected_sum",
         "other_trace": list(b.trace),
@@ -641,8 +636,8 @@ def connected_sum(a: ManifoldRecord, b: ManifoldRecord) -> ManifoldRecord:
         basis=basis,
         sw=sw,
         sw_reason=sw_reason,
-        rel_sw=_relative_factors(sw, marks, rel_labels),
         marks=tuple(marks),
+        rel_tori=_rel_tori(sw, marks, rel_labels),
         flags=a.flags | b.flags,
         trace=a.trace + (step,),
     )

@@ -28,7 +28,6 @@ from exolink.knots import (
     KnotRecord,
     alexander_poly,
     fox_alexander,
-    is_symmetric,
     parse_braid,
     twist_knot_family,
 )
@@ -86,7 +85,7 @@ def test_criterion_1_alexander_engine():
             assert match.equal
         for knot in twist_knot_family(10):
             assert knot.alexander.evaluate_at_one() in (1, -1)
-            assert is_symmetric(knot.alexander)
+            assert knot.alexander == knot.alexander.invert_vars()  # symmetric
         assert time.perf_counter() - start < 1.0
 
 
@@ -144,7 +143,7 @@ def test_criterion_5_fiber_sum_composition():
     with criterion(5, "iterated fiber sum reproduces the surface-block sw exactly"):
         one_handle = product_T2_Sigma_g(1)
         u1 = u_factor(len(one_handle.basis), (1,) + (0,) * (len(one_handle.basis) - 1))
-        assert dict(one_handle.rel_sw)["T"] == u1  # relative factor (t^-1 - t)^1
+        assert one_handle.rel_factor("T") == u1  # relative factor (t^-1 - t)^1
         for g in (2, 3):
             iterated = one_handle
             for _ in range(g - 1):

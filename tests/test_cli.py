@@ -257,6 +257,37 @@ def test_report_render_malformed_report_exits_2(tmp_path, capsys):
         assert err.startswith("error: malformed report") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("sw",), 5),
+        (("admissible",), [1, 2]),
+        (("marks", 0, "complement"), ["x"]),
+        # int() would truncate it to 0, and the run would pass on another form
+        (("gram", 0, 0), 0.5),
+        ((), None),  # the whole document wrapped in a list
+    ],
+    ids=["sw-int", "admissible-list", "short-complement", "fractional-gram", "top-level-list"],
+)
+def test_malformed_spec_exits_2(tmp_path, capsys, path, value):
+    spec = json.loads(spec_text("even"))
+    if path:
+        *parents, last = path
+        node = spec
+        for key in parents:
+            node = node[key]
+        node[last] = value
+    else:
+        spec = [spec]
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec), encoding="utf-8")
+    argv = ["recipe", "run", "--spec", str(spec_file), "--group", "free:1", "--knots", "twist:0..1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: malformed spec: ") and "Traceback" not in captured.err
+    assert not captured.out
+
+
 def test_negative_tietze_budget_exits_2(even_spec_file, capsys):
     recipe = ["recipe", "run", "--spec", str(even_spec_file), "--group", "free:1"]
     for command in (

@@ -18,7 +18,6 @@ from exolink.knots import (
     alexander_poly,
     braid_to_text,
     fox_alexander,
-    is_symmetric,
     knot_from_spec,
     normalize_alexander,
     parse_braid,
@@ -90,7 +89,7 @@ def test_burau_and_fox_routes_agree_on_all_family_braids():
 def test_family_values_are_normalized():
     for record in twist_knot_family(len(TWIST_BRAIDS)):
         assert record.alexander.evaluate_at_one() == 1
-        assert is_symmetric(record.alexander)
+        assert record.alexander == record.alexander.invert_vars()  # symmetric
 
 
 def test_family_is_alexander_separated_both_modes():
@@ -215,7 +214,7 @@ def test_markov_conjugation_invariance(data):
     braid = data.draw(knotted_braids())
     i = data.draw(st.integers(1, braid.strands - 1))
     base = alexander_poly(braid)
-    conj = alexander_poly(braid.conjugated(i))
+    conj = alexander_poly(BraidWord(braid.strands, (i,) + braid.letters + (-i,)))
     assert equal_up_to_units(base, conj, allow_inversion=True).equal
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from exolink.fixtures import spec_text
 from exolink.groupring import GroupRingElement, to_text
 from exolink.grouppres import GroupPresentation
+from exolink.knots import twist_knot_family
 from exolink.lattice import IntSymMatrix, hyperbolic_pair
 from exolink.manifold import (
     AdmissibilityError,
@@ -25,6 +26,7 @@ from exolink.manifold import (
     u_factor,
     unit_vector,
 )
+from exolink.surgery import fiber_sum, knot_surgery
 
 
 def test_u_factor():
@@ -77,8 +79,9 @@ def test_kodaira_block_shape():
         assert tup["b2"] == 2 * g + 2
         assert tup["parity"] == "even"
         # relative factor on T is sw * u
-        rel = dict(block.rel_sw)
-        assert rel["T"] == block.sw * u_factor(block.form.n, unit_vector(block.form.n, 0))
+        assert block.rel_factor("T") == block.sw * u_factor(
+            block.form.n, unit_vector(block.form.n, 0)
+        )
     assert to_text(kodaira_thurston_block(2).sw) == "t1^-2 - 2 + t1^2"
 
 
@@ -92,46 +95,53 @@ def test_record_validation_euler_mismatch():
             basis=("a", "b"),
             sw=None,
             sw_reason="untracked (test)",
-            rel_sw=(),
             marks=(),
         )
 
 
 def test_record_validation_rel_sw_consistency():
-    form = hyperbolic_pair()
     sw = GroupRingElement.one(2)
-    good_rel = sw * u_factor(2, (1, 0))
-    mark = MarkedSubmanifold(
+    torus = MarkedSubmanifold(
         kind="torus",
         label="T",
         homology_class=(1, 0),
         pi1_words=(),
         flags=frozenset({"self_intersection_zero"}),
     )
-    record = ManifoldRecord(
-        name="ok",
-        pi1=GroupPresentation.parse("gens: ; rels: "),
-        euler=4,
-        form=form,
-        basis=("T", "S"),
-        sw=sw,
-        sw_reason="tracked",
-        rel_sw=(("T", good_rel),),
-        marks=(mark,),
+    loop = MarkedSubmanifold(kind="loop", label="L", homology_class=None, pi1_words=("1",))
+    sphere = MarkedSubmanifold(
+        kind="sphere_link_component",
+        label="P",
+        homology_class=(0, 1),
+        flags=frozenset({"trivial_normal_bundle"}),
     )
-    assert record.signature == 0
-    with pytest.raises(ValueError, match="rel"):
-        ManifoldRecord(
-            name="bad",
+
+    def record(sw, sw_reason, rel_tori):
+        return ManifoldRecord(
+            name="r",
             pi1=GroupPresentation.parse("gens: ; rels: "),
             euler=4,
-            form=form,
+            form=hyperbolic_pair(),
             basis=("T", "S"),
             sw=sw,
-            sw_reason="tracked",
-            rel_sw=(("T", sw),),
-            marks=(mark,),
+            sw_reason=sw_reason,
+            marks=(torus, loop, sphere),
+            rel_tori=frozenset(rel_tori),
         )
+
+    data = record_to_json(record(sw, "tracked", {"T"}))
+    assert data["rel_sw"] == {"T": to_text(sw * u_factor(2, (1, 0)))}
+    assert record_from_json(data).signature == 0
+    # a stored factor that is not sw * u(class) fails to load
+    data["rel_sw"]["T"] = to_text(sw)
+    with pytest.raises(ValueError, match="relative factor"):
+        record_from_json(data)
+    # a factor on a loop or on a sphere with a class, and one without a tracked sw
+    for label in ("L", "P"):
+        with pytest.raises(ValueError, match="relative factor"):
+            record(sw, "tracked", {label})
+    with pytest.raises(ValueError, match="relative factor"):
+        record(None, "untracked (test)", {"T"})
 
 
 def test_record_serialization_round_trip():
@@ -140,6 +150,13 @@ def test_record_serialization_round_trip():
         lambda: product_T2_Sigma_g(2),
         lambda: kodaira_thurston_block(3),
         lambda: admissible_from_spec(spec_text("even")),
+        # a forward-built Z[k]: its relative factors derive from a product sw
+        lambda: fiber_sum(
+            knot_surgery(admissible_from_spec(spec_text("even")), "T1", twist_knot_family(2)[1]),
+            "T2",
+            kodaira_thurston_block(1),
+            "T",
+        ),
     ):
         record = build()
         data = record_to_json(record)

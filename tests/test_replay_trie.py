@@ -120,6 +120,12 @@ def test_tampered_record_fails_alone():
     edited = _edited({"Z[twist_1]": {"euler": records["Z[twist_1]"]["euler"] + 2}})
     assert _failing(verify_trace_report(edited)) == {"Z[twist_1]": ["euler"]}
 
+    # a stored relative factor, which the replay derives from sw
+    stored = records["Z[twist_1]"]
+    rel_sw = {**stored["rel_sw"], "T1": stored["sw"]}
+    edited = _edited({"Z[twist_1]": {"rel_sw": rel_sw}})
+    assert _failing(verify_trace_report(edited)) == {"Z[twist_1]": ["rel_sw"]}
+
     # the knot step of Z[twist_1]'s trace, made equal to twist_2's step: the
     # trie replays it as twist_2, and only Z[twist_1] is compared with that
     knot_step = records["Z[twist_2]"]["trace"][1]

@@ -1,4 +1,7 @@
-"""The README's recipe report and its replays, pinned byte for byte by sha256.
+"""Recipe reports and their replays, pinned byte for byte by sha256.
+
+Two configurations are pinned: the README's (the even base under a free
+group block) and the odd base under the genus-1 product block.
 
 For a fixed configuration a report stays byte-identical unless the report
 format is bumped on purpose, so a change that moves a digest changes what
@@ -15,6 +18,9 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 REPORT_SHA256 = "9d2fadc75b17f5e692a11f9042eaade5951bfecfffefe96a90facac6ed99cb97"
 VERIFY_TRACE_SHA256 = "156b9fd7389dfa11c1a37dac96a2a125192bdf8c177b84f83b3457f3f3986a38"
 VERIFY_TRACE_STEP3_SHA256 = "316c934a68bd929609a0211cea05bacb9af82ed1b587f55ddfe7118afc13b93b"
+# recipe run --spec fixtures/M_odd.json --group surface:1 --knots twist:0..3
+ODD_REPORT_SHA256 = "80611afba819d0d0c47f8c9d95bbfdcf88a9d3e4ca235bbf51cae0d808bdeebb"
+ODD_VERIFY_TRACE_SHA256 = "f971442a726289f4e29bad3422fbdf0284f08a54eb7f2914efbbdec3abb38a1f"
 
 
 def _sha256(data: bytes) -> str:
@@ -38,6 +44,17 @@ def test_readme_report_and_verify_trace_digests(tmp_path, capsys):
     # partial replay: Z[k] and Zstar[k] share their first three steps
     assert main(["verify-trace", str(report), "--step", "3"]) == 0
     assert _sha256(capsys.readouterr().out.encode("utf-8")) == VERIFY_TRACE_STEP3_SHA256
+
+
+def test_odd_base_product_block_digests(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    spec = REPO_ROOT / "fixtures" / "M_odd.json"
+    argv = ["recipe", "run", "--spec", str(spec), "--group", "surface:1", "--knots", "twist:0..3"]
+    assert main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _sha256(out.read_bytes()) == ODD_REPORT_SHA256
+    assert main(["verify-trace", str(out)]) == 0
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == ODD_VERIFY_TRACE_SHA256
 
 
 def test_readme_report_ignores_the_environment(tmp_path, monkeypatch, capsys):
