@@ -86,7 +86,6 @@ def _cmd_recipe_run(args: argparse.Namespace) -> int:
             genus=genus,
             knots=knots,
             budget_tietze=args.budget_tietze,
-            comparison_mode=args.compare,
         )
     except (ConfigError, ValueError) as exc:
         raise _UsageError(str(exc)) from exc
@@ -160,7 +159,6 @@ def _render_report(report: dict) -> str:
     lines.append(f"  group:   {cfg.get('group', '?')}")
     knots = cfg.get("knots", [])
     lines.append(f"  knots:   {', '.join(k['name'] for k in knots)}")
-    lines.append(f"  compare: {cfg.get('comparison_mode', '?')}")
     lines.append(f"  verdict: {report.get('verdict', '?')}")
     steps = sum(len(r.get("trace", [])) for r in records.values())
     lines.append(f"  records: {len(records)}, {steps} trace steps")
@@ -173,10 +171,10 @@ def _render_report(report: dict) -> str:
     certs = report.get("certificates", {})
     if "link_group" in certs:
         lines.append(f"  link group: {certs['link_group']['expected']}")
-    if "smooth_inequivalence" in certs:
-        pairs = certs["smooth_inequivalence"]["pairs"]
-        distinct = sum(1 for p in pairs.values() if not p["equal"])
-        lines.append(f"  sw pairs distinct: {distinct}/{len(pairs)}")
+    # reports written before the collision section carry pairs instead
+    if "collisions" in certs.get("smooth_inequivalence", {}):
+        collisions = certs["smooth_inequivalence"]["collisions"]
+        lines.append(f"  sw collisions: {len(collisions)} among {len(knots)} knots")
     if "ambient" in certs:
         ref = certs["ambient"]["reference"]
         lines.append(
@@ -239,12 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--knots", required=True, help="twist:A..B or name=braid;...")
     run.add_argument("--out", help="write the report JSON here")
     run.add_argument("--budget-tietze", type=int, default=None, metavar="N")
-    run.add_argument(
-        "--compare",
-        choices=("strict", "conjugation"),
-        default="conjugation",
-        help="unit comparison mode for sw elements",
-    )
     run.set_defaults(func=_cmd_recipe_run)
 
     verify = sub.add_parser("verify", help="verification suites")

@@ -23,6 +23,8 @@ Word = tuple[int, ...]
 
 DEFAULT_TIETZE_BUDGET = 10_000
 _MAX_DEFINING_LENGTH = 16
+# `recognize_surface` searches generator relabelings up to this genus
+MAX_SURFACE_GENUS = 4
 
 
 def free_reduce(word: Iterable[int]) -> Word:
@@ -395,6 +397,13 @@ def _apply_drop_empty(
     return gens, rels
 
 
+def _defining_word(relator: Word, g: int) -> Word:
+    """The word w with g = w, read off a relator in which g occurs once."""
+    k = next(k for k, letter in enumerate(relator) if abs(letter) == g)
+    u, letter, v = relator[:k], relator[k], relator[k + 1:]
+    return concat(invert_word(u), invert_word(v)) if letter > 0 else concat(v, u)
+
+
 def _apply_eliminate(
     gens: tuple[str, ...], rels: list[Word], step: TietzeStep
 ) -> tuple[tuple[str, ...], list[Word]]:
@@ -402,17 +411,9 @@ def _apply_eliminate(
     if not (0 <= i < len(rels)) or not (1 <= g <= len(gens)):
         raise ValueError("eliminate step out of range")
     relator = rels[i]
-    occurrences = [k for k, letter in enumerate(relator) if abs(letter) == g]
-    if len(occurrences) != 1:
+    if sum(1 for letter in relator if abs(letter) == g) != 1:
         raise ValueError("eliminate step: generator does not occur exactly once")
-    k = occurrences[0]
-    u, letter, v = relator[:k], relator[k], relator[k + 1:]
-    derived = (
-        concat(invert_word(u), invert_word(v))
-        if letter > 0
-        else concat(v, u)
-    )
-    if derived != w:
+    if _defining_word(relator, g) != w:
         raise ValueError("eliminate step: recorded replacement does not match")
     del rels[i]
     new_rels = [
@@ -478,15 +479,7 @@ def tietze_simplify(
         if candidate is None:
             break
         _, g, i = candidate
-        relator = rels[i]
-        k = next(k for k, letter in enumerate(relator) if abs(letter) == g)
-        u, letter, v = relator[:k], relator[k], relator[k + 1:]
-        w = (
-            concat(invert_word(u), invert_word(v))
-            if letter > 0
-            else concat(v, u)
-        )
-        step = TietzeStep("eliminate", i, g, w)
+        step = TietzeStep("eliminate", i, g, _defining_word(rels[i], g))
         gens, rels = _apply_eliminate(gens, rels, step)
         steps.append(step)
     return GroupPresentation(gens, tuple(rels)), TietzeLog(tuple(steps), exhausted)
@@ -547,10 +540,10 @@ def recognize_surface(
     True only if simplification reaches 2*genus generators and a single
     relator equal to the product of commutators up to cyclic rotation,
     inversion, and a generator relabeling (found by bounded search; genus
-    is capped at 4, matching how the engine is used).
+    is capped at ``MAX_SURFACE_GENUS``, matching how the engine is used).
     """
-    if not 1 <= genus <= 4:
-        raise ValueError("recognize_surface supports genus 1..4")
+    if not 1 <= genus <= MAX_SURFACE_GENUS:
+        raise ValueError(f"recognize_surface supports genus 1..{MAX_SURFACE_GENUS}")
     simplified, _ = tietze_simplify(p, budget)
     if len(simplified.generators) != 2 * genus or len(simplified.relators) != 1:
         return False

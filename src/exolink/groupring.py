@@ -272,6 +272,19 @@ def unit_normal_form(
     return key
 
 
+def unit_collisions(named: Mapping[str, GroupRingElement]) -> list[list[str]]:
+    """The names whose elements agree up to units and t -> t^-1, grouped.
+
+    One ``unit_normal_form`` key per element; each group of two or more
+    names sharing a key is listed in input order, ordered by its first name.
+    Empty when the elements are pairwise distinct.
+    """
+    groups: dict[tuple, list[str]] = {}
+    for name, elem in named.items():
+        groups.setdefault(unit_normal_form(elem, allow_inversion=True), []).append(name)
+    return [names for names in groups.values() if len(names) > 1]
+
+
 # -- text serialization ------------------------------------------------------
 #
 # Grammar (round-trips with from_text):

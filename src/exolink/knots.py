@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from functools import cache
 
-from .groupring import GroupRingElement, unit_normal_form
+from .groupring import GroupRingElement, unit_collisions
 from .grouppres import GroupPresentation, Word, free_reduce
 
 
@@ -466,15 +466,12 @@ def twist_knot_family(count: int) -> tuple[KnotRecord, ...]:
     records = tuple(
         KnotRecord.from_braid(f"twist_{n}", TWIST_BRAIDS[n]) for n in range(count)
     )
-    seen: dict[tuple, str] = {}
-    for record in records:
-        key = unit_normal_form(record.alexander, allow_inversion=True)
-        if key in seen:
-            raise ValueError(
-                f"family is not Alexander-separated: {seen[key]} and "
-                f"{record.name} agree up to units"
-            )
-        seen[key] = record.name
+    collisions = unit_collisions({r.name: r.alexander for r in records})
+    if collisions:
+        raise ValueError(
+            f"family is not Alexander-separated: {' and '.join(collisions[0])} "
+            "agree up to units"
+        )
     return records
 
 

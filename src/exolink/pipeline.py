@@ -18,10 +18,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
-from .groupring import GroupRingElement, to_text as ring_to_text, unit_normal_form
+from .groupring import GroupRingElement, to_text as ring_to_text, unit_collisions
 from .grouppres import (
+    MAX_SURFACE_GENUS,
     GroupPresentation,
     pi1_Ng,
     recognize_free,
@@ -76,6 +76,13 @@ CITE_TOP_ISOTOPY = (
     "4-manifolds (Freedman), realization of form isomorphisms (Wall), "
     "topological isotopy of homeomorphisms (Quinn; Perron)"
 )
+# the COMPUTED entries that the topological isotopy rule rests on
+_TOP_ISOTOPY_HYPOTHESES = (
+    "ambient_tuples_match",
+    "ambient_simply_connected",
+    "forms_indefinite",
+    "fixture_complement_flags",
+)
 CITE_SYMMETRY = (
     "ambient symmetry permuting the framed loop set: mapping classes of the "
     "base surface act by fiber-preserving diffeomorphisms of the block "
@@ -124,13 +131,17 @@ class RecipeConfig:
     genus: int
     knots: tuple[KnotRecord, ...]
     budget_tietze: int | None = None
-    comparison_mode: str = "conjugation"  # "conjugation" | "strict"
 
     def __post_init__(self) -> None:
         if self.group_kind not in ("free", "surface"):
             raise ConfigError(f"group kind must be free or surface, got {self.group_kind!r}")
         if self.genus < 1:
             raise ConfigError(f"genus must be >= 1, got {self.genus}")
+        if self.group_kind == "surface" and self.genus > MAX_SURFACE_GENUS:
+            raise ConfigError(
+                f"surface groups are recognized up to genus {MAX_SURFACE_GENUS}, "
+                f"got {self.genus}"
+            )
         if not self.knots:
             raise ConfigError("knot family is empty")
         first = self.knots[0]
@@ -139,10 +150,6 @@ class RecipeConfig:
                 "knot family must start with the unknot (Alexander polynomial 1); "
                 f"first entry {first.name!r} has "
                 f"{ring_to_text(first.alexander)}"
-            )
-        if self.comparison_mode not in ("conjugation", "strict"):
-            raise ConfigError(
-                f"comparison mode must be conjugation or strict, got {self.comparison_mode!r}"
             )
         names = [k.name for k in self.knots]
         if len(set(names)) != len(names):
@@ -207,7 +214,6 @@ class _Report:
                     for k in cfg.knots
                 ],
                 "budget_tietze": cfg.budget_tietze,
-                "comparison_mode": cfg.comparison_mode,
             },
             "records": {},
             "objects": self.store.objects,
@@ -410,7 +416,7 @@ def run_recipe(cfg: RecipeConfig) -> dict:
 
     Returns the completed report; raises CertificateError (which carries
     that same report) if any COMPUTED check fails, naming the failing
-    clause and pair.
+    clause and, for the SW check, each group of colliding knots.
     """
     spec_data = json.loads(cfg.spec_text)
     base = admissible_from_spec(cfg.spec_text)
@@ -449,7 +455,7 @@ def run_recipe(cfg: RecipeConfig) -> dict:
     rep.data["link_components"] = {k: list(v) for k, v in links.items()}
 
     _certify_link_group(rep, cfg, z_records)
-    _certify_smooth_inequivalence(rep, cfg, z_records)
+    _certify_smooth_inequivalence(rep, z_records)
     ambient = _certify_ambient(rep, cfg, base, zstar_records)
     _certify_topological_isotopy(rep, cfg, base, zstar_records)
     _certify_surgery_consistency(rep, cfg, z_records, zstar_records, links, memo)
@@ -508,36 +514,20 @@ def _certify_link_group(rep: _Report, cfg: RecipeConfig, z_records) -> None:
     )
 
 
-def _certify_smooth_inequivalence(rep: _Report, cfg: RecipeConfig, z_records) -> None:
-    names = list(z_records)
-    # two unit-normal-form keys per knot, so each pair is a key comparison
-    strict_key = {n: unit_normal_form(z.sw) for n, z in z_records.items()}
-    conj_key = {n: unit_normal_form(z.sw, allow_inversion=True) for n, z in z_records.items()}
-    pairs = {}
-    for a, b in combinations(names, 2):
-        strict = strict_key[a] == strict_key[b]
-        conj = conj_key[a] == conj_key[b]
-        verdict_equal = conj if cfg.comparison_mode == "conjugation" else strict
-        pairs[f"{a}|{b}"] = {
-            "strict_equal": strict,
-            "conjugation_equal": conj,
-            "equal": verdict_equal,
-        }
-        rep.check(
-            f"sw_distinct/{a}|{b}",
-            f"sw elements of {a} and {b} differ up to units ({cfg.comparison_mode})",
-            not verdict_equal,
-        )
-    rep.data["certificates"]["smooth_inequivalence"] = {
-        "comparison_mode": cfg.comparison_mode,
-        "pairs": pairs,
-    }
+def _certify_smooth_inequivalence(rep: _Report, z_records) -> None:
+    collisions = unit_collisions({n: z.sw for n, z in z_records.items()})
+    rep.data["certificates"]["smooth_inequivalence"] = {"collisions": collisions}
+    rep.check(
+        "sw_pairwise_distinct",
+        "sw elements differ pairwise up to units"
+        + "".join(f"; collision: {', '.join(group)}" for group in collisions),
+        not collisions,
+    )
     rep.add_entry(
         "sw_pairwise_distinct",
         "COMPUTED",
         "the tracked sw elements are pairwise distinct up to units",
-        records=tuple(f"Z[{n}]" for n in names),
-        data={"pair_count": len(pairs)},
+        records=tuple(f"Z[{n}]" for n in z_records),
     )
     rep.add_entry(
         "smooth_inequivalence",
@@ -650,21 +640,11 @@ def _certify_topological_isotopy(rep: _Report, cfg: RecipeConfig, base, zstar_re
         "the 2-links are pairwise topologically isotopic and componentwise "
         "topologically unknotted",
         citation=CITE_TOP_ISOTOPY,
-        hypotheses=(
-            "ambient_tuples_match",
-            "ambient_simply_connected",
-            "forms_indefinite",
-            "fixture_complement_flags",
-        ),
+        hypotheses=_TOP_ISOTOPY_HYPOTHESES,
     )
     rep.data["certificates"]["topological_isotopy"] = {
         "citation": CITE_TOP_ISOTOPY,
-        "computed_prerequisites": [
-            "ambient_tuples_match",
-            "ambient_simply_connected",
-            "forms_indefinite",
-            "fixture_complement_flags",
-        ],
+        "computed_prerequisites": list(_TOP_ISOTOPY_HYPOTHESES),
     }
 
 

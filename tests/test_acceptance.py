@@ -207,9 +207,10 @@ def test_criterion_7_recipe_end_to_end():
         report = run_recipe(cfg)
         assert report["verdict"] == "pass"
 
-        pairs = report["certificates"]["smooth_inequivalence"]["pairs"]
-        assert len(pairs) == 10
-        assert all(not p["equal"] for p in pairs.values())
+        # the 10 pairs of the 5 knots are told apart by one key per knot
+        assert report["certificates"]["smooth_inequivalence"] == {"collisions": []}
+        sw_checks = [c for c in report["checks"] if c["id"].startswith("sw_")]
+        assert [(c["id"], c["pass"]) for c in sw_checks] == [("sw_pairwise_distinct", True)]
 
         ambient = report["certificates"]["ambient"]
         assert ambient["stabilizations"] == 2
@@ -270,8 +271,10 @@ def test_criterion_8_brunnian_section():
         with pytest.raises(CertificateError) as caught:
             run_recipe(bad_cfg)
         failing = caught.value.report
-        pair = failing["certificates"]["smooth_inequivalence"]["pairs"][
-            "twist_1|twist_1_again"
+        assert failing["certificates"]["smooth_inequivalence"]["collisions"] == [
+            ["twist_1", "twist_1_again"]
         ]
-        assert pair["strict_equal"] and pair["conjugation_equal"]
+        assert [c["id"] for c in failing["checks"] if not c["pass"]] == [
+            "sw_pairwise_distinct"
+        ]
         assert failing["verdict"] == "fail"

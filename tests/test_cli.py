@@ -1,5 +1,7 @@
 """Command-line behavior: exit codes, JSON output, rendering, file handling."""
 
+import gzip
+import hashlib
 import importlib
 import json
 import os
@@ -10,13 +12,16 @@ from pathlib import Path
 
 import pytest
 
+from exolink import pipeline
 from exolink.cli import main
 from exolink.fixtures import spec_text
 from exolink.knots import twist_knot_family
 from exolink.manifold import ObjectStore, compact_json
 from exolink.pipeline import RecipeConfig, run_recipe
+from test_report_golden import VERIFY_TRACE_SHA256
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+V2_PAIRS_FIXTURE = REPO_ROOT / "tests" / "fixtures" / "readme_report_v2_pairs.json.gz"
 
 
 @pytest.fixture()
@@ -114,6 +119,32 @@ def test_recipe_run_usage_errors(tmp_path, even_spec_file, capsys):
         )
         == 2
     )
+    # sw elements are compared one way only, so there is no --compare option
+    argv = ["recipe", "run", "--spec", str(even_spec_file), "--group", "free:1"]
+    assert main([*argv, "--knots", "twist:0..1", "--compare", "strict"]) == 2
+    assert "--compare" in capsys.readouterr().err
+
+
+def test_surface_genus_past_recognizer_refused_before_any_record(
+    even_spec_file, monkeypatch, capsys
+):
+    built = []
+    real = pipeline.knot_surgery
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "knot_surgery", spy)
+    argv = ["recipe", "run", "--spec", str(even_spec_file), "--knots", "twist:0..3"]
+    assert main([*argv, "--group", "surface:5"]) == 2
+    err = capsys.readouterr().err
+    assert "error: surface groups are recognized up to genus 4, got 5" in err
+    assert "Traceback" not in err
+    assert built == []
+    # the spy sees the records of a genus the recognizer takes
+    assert main([*argv[:-1], "twist:0..1", "--group", "surface:1"]) == 0
+    assert len(built) == 2
 
 
 def test_recipe_run_failing_check_exits_1_but_writes_report(
@@ -142,6 +173,10 @@ def test_recipe_run_failing_check_exits_1_but_writes_report(
     assert summary["checks"]["failed"] == 1
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["verdict"] == "fail"
+    assert main(["report", "render", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "sw collisions: 1 among 3 knots" in text
+    assert "FAIL sw_pairwise_distinct: " in text and "collision: k, k2" in text
 
 
 def test_verify_lemmas_green(capsys):
@@ -242,6 +277,27 @@ def test_report_render_human_summary(tmp_path, capsys):
     assert "link group: free group of rank 1" in text
     assert "trusted:" in text
     assert "brunnian subfamily bound:" in text
+    assert "sw collisions: 0 among 2 knots" in text
+    assert "compare:" not in text
+
+
+def test_report_render_reads_reports_with_pair_tables(tmp_path, capsys):
+    # a v2 report written while smooth inequivalence was a k(k-1)/2 pair
+    # table: the README configuration, with its digest of that time
+    data = gzip.decompress(V2_PAIRS_FIXTURE.read_bytes())
+    assert hashlib.sha256(data).hexdigest() == (
+        "9d2fadc75b17f5e692a11f9042eaade5951bfecfffefe96a90facac6ed99cb97"
+    )
+    path = tmp_path / "pairs.json"
+    path.write_bytes(data)
+    assert main(["report", "render", str(path)]) == 0
+    text = capsys.readouterr().out
+    assert "recipe report (exolink/report/v2)" in text
+    assert "checks:  32/32 passed" in text
+    assert "sw collisions" not in text
+    # its records replay to the bytes pinned for the current README report
+    assert main(["verify-trace", str(path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_TRACE_SHA256
 
 
 def test_report_render_malformed_report_exits_2(tmp_path, capsys):

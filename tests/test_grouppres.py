@@ -1,9 +1,12 @@
 """Finitely presented groups: parsing, Tietze engine, recognizers, block groups."""
+from dataclasses import replace
+
 import pytest
 
 from exolink import lattice
 from exolink.grouppres import (
     GroupPresentation,
+    TietzeLog,
     free_product,
     pi1_Ng,
     pi1_product_surface,
@@ -120,6 +123,27 @@ def test_tietze_replay_detects_tampering():
     other = GroupPresentation.parse("gens: a,b; rels: a b^-1, a")
     with pytest.raises(ValueError):
         replay_tietze(other, log)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a occurs as a: a = b c^-1, then b = c^-2
+        "gens: a,b,c; rels: b^-1 a c, c a^-1 b^2",
+        # a occurs as a^-1: a = b b
+        "gens: a,b; rels: b a^-1 b",
+    ],
+)
+def test_tietze_replay_refuses_a_recorded_word_that_does_not_match(text):
+    p = GroupPresentation.parse(text)
+    simplified, log = tietze_simplify(p, 10_000)
+    assert replay_tietze(p, log) == simplified
+    assert log.steps
+    for i, step in enumerate(log.steps):
+        tampered = replace(step, replacement=step.replacement + (1,))
+        steps = log.steps[:i] + (tampered,) + log.steps[i + 1:]
+        with pytest.raises(ValueError, match="recorded replacement does not match"):
+            replay_tietze(p, TietzeLog(steps, log.exhausted))
 
 
 def test_free_product_and_svk_glue():

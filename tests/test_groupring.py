@@ -9,6 +9,7 @@ from exolink.groupring import (
     format_univariate,
     from_text,
     to_text,
+    unit_collisions,
     unit_normal_form,
 )
 
@@ -177,3 +178,42 @@ def test_unit_normal_form_keys_agree_with_equal_up_to_units(a, other, shift, sig
     for inversion in (False, True):
         same_key = unit_normal_form(a, inversion) == unit_normal_form(b, inversion)
         assert same_key == equal_up_to_units(a, b, allow_inversion=inversion).equal
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(elements(2), min_size=1, max_size=3),
+    st.lists(
+        st.tuples(
+            st.integers(0, 2),
+            st.sampled_from(["same", "negated", "shifted", "inverted", "zero"]),
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+            st.sampled_from([1, -1]),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_unit_collisions_match_pairwise_grouping(bases, members):
+    def copy(index, kind, shift, sign):
+        a = bases[index % len(bases)]
+        return {
+            "same": a,
+            "negated": -a,
+            "shifted": (a * sign).shift(shift),
+            "inverted": (a.invert_vars() * sign).shift(shift),
+            "zero": GroupRingElement.zero(2),
+        }[kind]
+
+    named = {f"k{i}": copy(*member) for i, member in enumerate(members)}
+    # brute force: every name against every name, groups in order of first name
+    expected = []
+    for elem in named.values():
+        group = [
+            name
+            for name, other in named.items()
+            if equal_up_to_units(elem, other, allow_inversion=True).equal
+        ]
+        if len(group) > 1 and group not in expected:
+            expected.append(group)
+    assert unit_collisions(named) == expected

@@ -50,29 +50,48 @@ def test_report_shape_and_determinism():
     assert all(c["pass"] for c in first["checks"])
 
 
+def _with_twist_1_copy(count):
+    return twist_knot_family(count) + (
+        KnotRecord.from_braid("twist_1_copy", TWIST_BRAIDS[1]),
+    )
+
+
+def _collisions(report):
+    return report["certificates"]["smooth_inequivalence"]["collisions"]
+
+
 def test_pair_verdicts_stable_as_family_grows():
-    small = run_recipe(make_config(3))
-    large = run_recipe(make_config(5))
-    small_pairs = small["certificates"]["smooth_inequivalence"]["pairs"]
-    large_pairs = large["certificates"]["smooth_inequivalence"]["pairs"]
-    assert set(small_pairs) <= set(large_pairs)
-    for key, verdict in small_pairs.items():
-        assert large_pairs[key] == verdict
+    # a knot's collision group does not depend on the knots around it
+    groups = []
+    for count in (3, 5):
+        cfg = RecipeConfig(
+            spec_text=spec_text("even"),
+            group_kind="free",
+            genus=1,
+            knots=_with_twist_1_copy(count),
+        )
+        with pytest.raises(CertificateError) as exc_info:
+            run_recipe(cfg)
+        groups.append(_collisions(exc_info.value.report))
+    assert groups[0] == groups[1] == [["twist_1", "twist_1_copy"]]
+    assert _collisions(run_recipe(make_config(5))) == []
 
 
 def test_duplicate_sw_raises_certificate_error_with_report():
-    knots = twist_knot_family(2) + (
-        KnotRecord.from_braid("twist_1_copy", TWIST_BRAIDS[1]),
-    )
     cfg = RecipeConfig(
-        spec_text=spec_text("even"), group_kind="free", genus=1, knots=knots
+        spec_text=spec_text("even"),
+        group_kind="free",
+        genus=1,
+        knots=_with_twist_1_copy(2),
     )
-    with pytest.raises(CertificateError, match="differ up to units") as exc_info:
+    with pytest.raises(CertificateError, match="differ pairwise up to units") as exc_info:
         run_recipe(cfg)
+    assert "collision: twist_1, twist_1_copy" in str(exc_info.value)
     report = exc_info.value.report
     assert report["verdict"] == "fail"
+    assert _collisions(report) == [["twist_1", "twist_1_copy"]]
     failing = [c for c in report["checks"] if not c["pass"]]
-    assert [c["id"] for c in failing] == ["sw_distinct/twist_1|twist_1_copy"]
+    assert [c["id"] for c in failing] == ["sw_pairwise_distinct"]
     # the report is still complete: every section was assembled before the raise
     for key in (
         "link_group",
@@ -90,7 +109,14 @@ def test_duplicate_sw_raises_certificate_error_with_report():
 def test_single_unknot_family_degenerates_gracefully():
     report = run_recipe(make_config(1))
     assert report["verdict"] == "pass"
-    assert report["certificates"]["smooth_inequivalence"]["pairs"] == {}
+    assert _collisions(report) == []
+    assert [c for c in report["checks"] if c["id"] == "sw_pairwise_distinct"] == [
+        {
+            "id": "sw_pairwise_distinct",
+            "description": "sw elements differ pairwise up to units",
+            "pass": True,
+        }
+    ]
     assert report["certificates"]["link_group"]["per_knot"] == {
         "twist_0": {"recognized": True, "rank": 1}
     }
@@ -236,8 +262,11 @@ def test_config_validation_errors():
             genus=1,
             knots=twist_knot_family(1) * 2,
         )
-    with pytest.raises(ConfigError, match="comparison mode"):
-        make_config(2, comparison_mode="fuzzy")
+    # the surface recognizer stops at genus 4, so genus 5 is refused up front
+    assert make_config(1, kind="surface", genus=4).genus == 4
+    with pytest.raises(ConfigError, match="up to genus 4, got 5"):
+        make_config(1, kind="surface", genus=5)
+    assert make_config(1, kind="free", genus=5).genus == 5
 
 
 def test_loop_count_tracks_group_kind():
@@ -261,12 +290,3 @@ def test_parse_group_and_knot_args():
         parse_knots_arg("u=1:; oops")
     with pytest.raises(ConfigError):
         parse_knots_arg("twist:3..1")
-
-
-def test_strict_comparison_mode_recorded():
-    report = run_recipe(make_config(2, comparison_mode="strict"))
-    section = report["certificates"]["smooth_inequivalence"]
-    assert section["comparison_mode"] == "strict"
-    pair = section["pairs"]["twist_0|twist_1"]
-    assert not pair["strict_equal"]
-    assert not pair["equal"]

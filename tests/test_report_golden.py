@@ -15,11 +15,11 @@ from exolink.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-REPORT_SHA256 = "9d2fadc75b17f5e692a11f9042eaade5951bfecfffefe96a90facac6ed99cb97"
+REPORT_SHA256 = "6f79819da5524b70b71de501b292009bf748c79d4c8ca263d4b070b4bf40e09a"
 VERIFY_TRACE_SHA256 = "156b9fd7389dfa11c1a37dac96a2a125192bdf8c177b84f83b3457f3f3986a38"
 VERIFY_TRACE_STEP3_SHA256 = "316c934a68bd929609a0211cea05bacb9af82ed1b587f55ddfe7118afc13b93b"
 # recipe run --spec fixtures/M_odd.json --group surface:1 --knots twist:0..3
-ODD_REPORT_SHA256 = "80611afba819d0d0c47f8c9d95bbfdcf88a9d3e4ca235bbf51cae0d808bdeebb"
+ODD_REPORT_SHA256 = "a2202b8e17bdf99eb6c6710638a4c680e27a1e63678afb1a270551469606cf71"
 ODD_VERIFY_TRACE_SHA256 = "f971442a726289f4e29bad3422fbdf0284f08a54eb7f2914efbbdec3abb38a1f"
 
 
