@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from operator import add
 
 ExponentVector = tuple[int, ...]
 
@@ -30,7 +31,12 @@ def _canonical(
                 f"exponent vector {key!r} has length {len(key)}, expected {nvars}"
             )
         acc[key] = acc.get(key, 0) + coeff
-    return tuple(sorted((e, c) for e, c in acc.items() if c != 0))
+    return _sorted_terms(acc)
+
+
+def _sorted_terms(acc: dict[ExponentVector, int]) -> tuple[tuple[ExponentVector, int], ...]:
+    # keys are distinct, so sorting the items sorts by exponent vector alone
+    return tuple(sorted(item for item in acc.items() if item[1]))
 
 
 @dataclass(frozen=True)
@@ -115,12 +121,21 @@ class GroupRingElement:
                 tuple((e, c * other) for e, c in self.terms) if other else (),
             )
         self._require_same_ring(other)
+        # The SW elements' exponent vectors have one or two nonzero
+        # coordinates out of b2, so each term of the shorter factor is
+        # applied as a patch of its nonzero coordinates to the longer one.
+        outer, inner = sorted((self.terms, other.terms), key=len)
         acc: dict[ExponentVector, int] = {}
-        for ea, ca in self.terms:
-            for eb, cb in other.terms:
-                key = tuple(x + y for x, y in zip(ea, eb))
-                acc[key] = acc.get(key, 0) + ca * cb
-        return GroupRingElement.from_terms(self.nvars, acc)
+        get = acc.get
+        for eb, cb in outer:
+            moves = [(i, x) for i, x in enumerate(eb) if x]
+            for ea, ca in inner:
+                key = list(ea)
+                for i, x in moves:
+                    key[i] += x
+                key = tuple(key)
+                acc[key] = get(key, 0) + ca * cb
+        return GroupRingElement(self.nvars, _sorted_terms(acc))
 
     __rmul__ = __mul__
 
@@ -139,7 +154,7 @@ class GroupRingElement:
             raise ValueError("shift vector has wrong length")
         return GroupRingElement(
             self.nvars,
-            tuple((tuple(x + y for x, y in zip(e, key)), c) for e, c in self.terms),
+            tuple((tuple(map(add, e, key)), c) for e, c in self.terms),
         )
 
     def invert_vars(self) -> "GroupRingElement":
@@ -155,6 +170,12 @@ class GroupRingElement:
         Z[Z^s].  This is the ring homomorphism induced by a homomorphism
         Z^nvars -> Z^s, so it is additive and multiplicative (covered by the
         property tests).
+
+        Each column's nonzero ``(row, entry)`` pairs are listed once, and
+        each exponent vector adds up only its nonzero coordinates' columns:
+        the gluing maps of `fiber_sum` and `embed_knot_poly_at_class` have
+        at most one nonzero entry per column, so a term costs O(nvars), not
+        O(s * nvars).  Terms that land on one exponent are summed.
         """
         rows = [tuple(row) for row in matrix]
         for row in rows:
@@ -163,11 +184,20 @@ class GroupRingElement:
                     f"matrix row length {len(row)} != nvars {self.nvars}"
                 )
         s = len(rows)
+        columns = [
+            [(i, row[j]) for i, row in enumerate(rows) if row[j]]
+            for j in range(self.nvars)
+        ]
         acc: dict[ExponentVector, int] = {}
         for e, c in self.terms:
-            key = tuple(sum(r[j] * e[j] for j in range(self.nvars)) for r in rows)
+            image = [0] * s
+            for x, column in zip(e, columns):
+                if x:
+                    for i, m in column:
+                        image[i] += m * x
+            key = tuple(image)
             acc[key] = acc.get(key, 0) + c
-        return GroupRingElement.from_terms(s, acc)
+        return GroupRingElement(s, _sorted_terms(acc))
 
     def __repr__(self) -> str:
         return f"GroupRingElement({self.nvars}, {to_text(self)!r})"

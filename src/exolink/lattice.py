@@ -6,8 +6,12 @@ fraction-free integer elimination, and Smith normal forms carry unimodular
 transform certificates that are re-checked by multiplication.  No floating
 point anywhere.
 
-`invariants` is memoized by value: an equal matrix built anew (as trace
-replay does) hits the cache.  Results are frozen, so sharing them is safe.
+`invariants` splits a form into its orthogonal summands (the connected
+components of the Gram matrix's nonzero pattern) and is memoized by value
+per form and per summand: an equal matrix built anew (as trace replay does)
+hits the cache, and a block such as E8 or H, which every glued form of the
+recipe repeats, is diagonalized once.  Results are frozen, so sharing them
+is safe.
 """
 from __future__ import annotations
 
@@ -191,12 +195,58 @@ class FormInvariants:
         return self.rank > 0 and (self.b_plus == 0 or self.b_minus == 0)
 
 
+def _orthogonal_summands(a: IntSymMatrix) -> list[list[int]]:
+    """Basis indices of the form's orthogonal summands, each sorted.
+
+    The summands are the connected components of the nonzero pattern of
+    the Gram matrix; a zero basis vector is a summand of its own.
+    """
+    seen = [False] * a.n
+    parts = []
+    for start in range(a.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack, part = [start], []
+        while stack:
+            i = stack.pop()
+            part.append(i)
+            for j, x in enumerate(a.rows[i]):
+                if x and not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        parts.append(sorted(part))
+    return parts
+
+
 @cache
 def invariants(a: IntSymMatrix) -> FormInvariants:
-    diag = congruence_diagonal(a)
-    b_plus = sum(1 for d in diag if d > 0)
-    b_minus = sum(1 for d in diag if d < 0)
-    det = determinant(a)
+    """Rank, inertia, parity and determinant of the form.
+
+    A form that splits into several orthogonal summands is permuted into
+    block form, which is a congruence by a matrix of determinant +-1:
+    inertia adds and determinants multiply over the summands, each taken
+    through this cached function, so a block such as E8 or H is
+    diagonalized once per process however many forms contain it.  Only a
+    single summand reaches `congruence_diagonal` and `determinant`.
+    Parity is read off the whole diagonal.
+    """
+    parts = _orthogonal_summands(a)
+    if len(parts) == 1:
+        diag = congruence_diagonal(a)
+        b_plus = sum(1 for d in diag if d > 0)
+        b_minus = sum(1 for d in diag if d < 0)
+        det = determinant(a)
+    else:
+        b_plus = b_minus = 0
+        det = 1
+        for part in parts:
+            sub = invariants(
+                IntSymMatrix(tuple(tuple(a.rows[i][j] for j in part) for i in part))
+            )
+            b_plus += sub.b_plus
+            b_minus += sub.b_minus
+            det *= sub.determinant
     return FormInvariants(
         rank=b_plus + b_minus,
         b_plus=b_plus,

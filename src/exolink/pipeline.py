@@ -275,10 +275,12 @@ def _record_reader(report: dict, store: ObjectStore | None = None):
     raises ValueError naming the record when the record is not an object,
     its trace is not a list of objects, or it does not resolve: a key names
     no object, or an object does not hash to its key (ObjectMismatch,
-    naming that key).  Raises ValueError at once when ``records``, or a v2
-    report's ``objects``, is not an object.
+    naming that key).  Raises ValueError at once when ``records`` is
+    missing, or when it or a v2 report's ``objects`` is not an object.
     """
-    records = report.get("records", {})
+    if "records" not in report:
+        raise ValueError("malformed report: no 'records'")
+    records = report["records"]
     if not isinstance(records, dict):
         raise ValueError("report 'records' must be an object")
     if report.get("format") == REPORT_FORMAT:
@@ -1004,12 +1006,12 @@ def verify_trace_report(report: dict, step: int | None = None) -> dict:
     only ever compared with, never replayed from.
 
     Reads v1 and v2 reports alike (see `report_records`).  Raises
-    ValueError, naming the record, when ``records`` is not an object, a
-    record, its trace or a trace step is not the JSON shape a report
-    writes, or a key names no object.  A record that reaches an object
-    whose content does not hash to its key is not replayed; the key is
-    named in that record's ``error`` entry, as is a wrong-typed or missing
-    field inside a step.
+    ValueError when ``records`` is missing or not an object, and, naming
+    the record, when a record, its trace or a trace step is not the JSON
+    shape a report writes, or a key names no object.  A record that
+    reaches an object whose content does not hash to its key is not
+    replayed; the key is named in that record's ``error`` entry, as is a
+    wrong-typed or missing field inside a step.
     """
     if step is not None and step < 1:
         raise ValueError(f"step must be >= 1, got {step}")

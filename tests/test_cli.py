@@ -306,11 +306,30 @@ def test_report_render_malformed_report_exits_2(tmp_path, capsys):
         {"checks": [{"id": "x"}]},
         {"entries": [{"id": "e"}]},
         {"config": {"knots": [1]}},
+        # with records present, the mistyped field itself is what is refused
+        {"records": {}, "checks": [{"id": "x"}]},
+        {"records": {}, "entries": [{"id": "e"}]},
+        {"records": {}, "config": {"knots": [1]}},
     ):
         path.write_text(json.dumps(report), encoding="utf-8")
         assert main(["report", "render", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: malformed report") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["verify-trace"], ["report", "render"]])
+def test_a_file_without_records_is_not_a_report(tmp_path, capsys, command):
+    # a manifold spec and an empty object used to verify as "pass": true
+    spec = tmp_path / "M_even.json"
+    spec.write_text(spec_text("even"), encoding="utf-8")
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}", encoding="utf-8")
+    for path in (spec, empty):
+        assert main([*command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "records" in captured.err
+        assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

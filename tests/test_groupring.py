@@ -217,3 +217,56 @@ def test_unit_collisions_match_pairwise_grouping(bases, members):
         if len(group) > 1 and group not in expected:
             expected.append(group)
     assert unit_collisions(named) == expected
+
+
+def _assert_canonical(x: GroupRingElement) -> None:
+    exps = [e for e, _ in x.terms]
+    assert exps == sorted(set(exps))
+    assert all(len(e) == x.nvars and c != 0 for e, c in x.terms)
+    assert GroupRingElement(x.nvars, x.terms) == x
+
+
+@st.composite
+def pushforwards(draw):
+    # an s x nvars matrix built column by column: zero, one nonzero, or several
+    nvars, s = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    columns = []
+    for _ in range(nvars):
+        kind = draw(st.sampled_from(["zero", "one", "several"]))
+        column = [0] * s
+        if kind == "one" and s:
+            column[draw(st.integers(0, s - 1))] = draw(st.sampled_from([-2, -1, 1, 3]))
+        elif kind == "several":
+            column = draw(st.lists(st.integers(-2, 2), min_size=s, max_size=s))
+        columns.append(column)
+    matrix = [[columns[j][i] for j in range(nvars)] for i in range(s)]
+    return draw(elements(nvars)), matrix
+
+
+@settings(max_examples=150)
+@given(pushforwards())
+def test_substitute_hom_matches_dense_reference(case):
+    a, matrix = case
+    dense: dict = {}
+    for e, c in a.terms:
+        key = tuple(sum(row[j] * e[j] for j in range(a.nvars)) for row in matrix)
+        dense[key] = dense.get(key, 0) + c
+    image = a.substitute_hom(matrix)
+    assert image.nvars == len(matrix)
+    assert dict(image.terms) == {e: c for e, c in dense.items() if c}
+    _assert_canonical(image)
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(elements(n), elements(n))))
+def test_mul_is_canonical_and_matches_dense_reference(pair):
+    a, b = pair
+    dense: dict = {}
+    for ea, ca in a.terms:
+        for eb, cb in b.terms:
+            key = tuple(x + y for x, y in zip(ea, eb))
+            dense[key] = dense.get(key, 0) + ca * cb
+    product = a * b
+    assert dict(product.terms) == {e: c for e, c in dense.items() if c}
+    _assert_canonical(product)
+    _assert_canonical(a.shift((1,) * a.nvars))

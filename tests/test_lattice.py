@@ -1,8 +1,10 @@
 """Integer symmetric forms: invariants, classification, Smith form, witnesses."""
+from unittest import mock
+
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exolink import lattice
 from exolink.lattice import (
@@ -244,3 +246,64 @@ def test_pair_matches_dense_double_sum(data):
         q.pair(x[:-1], y)
     with pytest.raises(ValueError):
         q.pair(x, y + [0])
+
+
+_BLOCKS = {
+    "H": hyperbolic_pair(),
+    "E8": e8_gram(),
+    "-E8": negate(e8_gram()),
+    "+1": IntSymMatrix.diagonal((1,)),
+    "-1": IntSymMatrix.diagonal((-1,)),
+    "0": IntSymMatrix.diagonal((0,)),
+}
+
+
+@st.composite
+def permuted_block_sums(draw):
+    names = draw(st.lists(st.sampled_from(sorted(_BLOCKS)), max_size=4))
+    n = sum(_BLOCKS[name].n for name in names)
+    return names, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(permuted_block_sums())
+@example(([], []))
+def test_invariants_split_into_summands_match_the_whole_form(case):
+    names, perm = case
+    whole = direct_sum(*(_BLOCKS[name] for name in names))
+    # P^T A P for the permutation matrix P: basis vector i is old perm[i]
+    q = IntSymMatrix.from_rows([[whole.entry(p, r) for r in perm] for p in perm])
+    # each block is connected, so its permuted index set is one summand
+    blocks, off = [], 0
+    for name in names:
+        size = _BLOCKS[name].n
+        blocks.append(sorted(i for i, p in enumerate(perm) if off <= p < off + size))
+        off += size
+    assert sorted(lattice._orthogonal_summands(q)) == sorted(blocks)
+    # the unsplit route: one diagonalization and one determinant of the whole
+    diag = lattice.congruence_diagonal(q)
+    b_plus = sum(1 for d in diag if d > 0)
+    b_minus = sum(1 for d in diag if d < 0)
+    det = lattice._bareiss(q.rows)
+
+    seen = []
+
+    def one_summand_only(a):
+        assert len(lattice._orthogonal_summands(a)) == 1
+        seen.append(a.n)
+        return original(a)
+
+    original = lattice.congruence_diagonal
+    invariants.cache_clear()
+    with mock.patch.object(lattice, "congruence_diagonal", one_summand_only):
+        inv = invariants(q)
+    assert (inv.rank, inv.b_plus, inv.b_minus) == (b_plus + b_minus, b_plus, b_minus)
+    assert inv.signature == b_plus - b_minus
+    assert inv.determinant == det and inv.unimodular == (det in (1, -1))
+    assert inv.parity == ("even" if q.is_even() else "odd")
+    # each distinct summand matrix is diagonalized once, however often it repeats
+    summands = {
+        IntSymMatrix.from_rows([[q.entry(i, j) for j in part] for i in part])
+        for part in blocks
+    }
+    assert sorted(seen) == sorted(a.n for a in summands)
