@@ -23,8 +23,6 @@ Word = tuple[int, ...]
 
 DEFAULT_TIETZE_BUDGET = 10_000
 _MAX_DEFINING_LENGTH = 16
-# `recognize_surface` searches generator relabelings up to this genus
-MAX_SURFACE_GENUS = 4
 
 
 def free_reduce(word: Iterable[int]) -> Word:
@@ -82,12 +80,6 @@ class GroupPresentation:
             for letter in r:
                 if not 1 <= abs(letter) <= n:
                     raise ValueError(f"letter {letter} out of range in relator")
-
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def free(cls, names: Sequence[str]) -> "GroupPresentation":
-        return cls(tuple(names), ())
 
     def word(self, text: str) -> Word:
         return parse_word(text, self.generators)
@@ -351,17 +343,6 @@ class TietzeLog:
     steps: tuple[TietzeStep, ...]
     exhausted: bool = False
 
-    def to_json(self) -> list[dict]:
-        return [
-            {
-                "kind": s.kind,
-                "relator_index": s.relator_index,
-                "generator": s.generator,
-                "replacement": list(s.replacement),
-            }
-            for s in self.steps
-        ]
-
 
 def _substitute(word: Word, gen: int, replacement: Word) -> Word:
     out: list[int] = []
@@ -539,18 +520,16 @@ def recognize_surface(
 
     True only if simplification reaches 2*genus generators and a single
     relator equal to the product of commutators up to cyclic rotation,
-    inversion, and a generator relabeling (found by bounded search; genus
-    is capped at ``MAX_SURFACE_GENUS``, matching how the engine is used).
+    inversion, and a signed generator relabeling.  Each rotation fixes the
+    relabeling letter by letter, so the search needs no bound on the genus.
     """
-    if not 1 <= genus <= MAX_SURFACE_GENUS:
-        raise ValueError(f"recognize_surface supports genus 1..{MAX_SURFACE_GENUS}")
+    if genus < 1:
+        raise ValueError(f"recognize_surface needs genus >= 1, got {genus}")
     simplified, _ = tietze_simplify(p, budget)
     if len(simplified.generators) != 2 * genus or len(simplified.relators) != 1:
         return False
     relator = simplified.relators[0]
     canon = _canonical_surface_word(genus)
-    if len(relator) != len(canon):
-        return False
     for base in (relator, invert_word(relator)):
         for rot in range(len(base)):
             rotated = base[rot:] + base[:rot]

@@ -83,13 +83,6 @@ class GroupRingElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, exponents: Sequence[int]) -> int:
-        key = tuple(exponents)
-        for e, c in self.terms:
-            if e == key:
-                return c
-        return 0
-
     def evaluate_at_one(self) -> int:
         """Augmentation map: sum of coefficients (every generator to 1)."""
         return sum(c for _, c in self.terms)

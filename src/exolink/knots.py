@@ -69,11 +69,6 @@ class BraidWord:
                     j = perm[j]
         return count
 
-    def stabilized(self, sign: int = 1) -> "BraidWord":
-        if sign not in (1, -1):
-            raise ValueError("stabilization sign must be +1 or -1")
-        return BraidWord(self.strands + 1, self.letters + (sign * self.strands,))
-
 
 _BRAID_TOKEN = re.compile(r"s(\d+)(?:\^(-?\d+))?$")
 

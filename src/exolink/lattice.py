@@ -81,21 +81,6 @@ def hyperbolic_pair() -> IntSymMatrix:
     return IntSymMatrix.from_rows([[0, 1], [1, 0]])
 
 
-def e8_gram() -> IntSymMatrix:
-    """The positive definite even unimodular rank-8 form (Cartan matrix)."""
-    rows = [[0] * 8 for _ in range(8)]
-    for i in range(8):
-        rows[i][i] = 2
-    for i in range(6):
-        rows[i][i + 1] = rows[i + 1][i] = -1
-    rows[4][7] = rows[7][4] = -1
-    return IntSymMatrix.from_rows(rows)
-
-
-def negate(a: IntSymMatrix) -> IntSymMatrix:
-    return IntSymMatrix.from_rows([[-x for x in row] for row in a.rows])
-
-
 def direct_sum(*parts: IntSymMatrix) -> IntSymMatrix:
     n = sum(p.n for p in parts)
     rows = [[0] * n for _ in range(n)]
@@ -190,10 +175,6 @@ class FormInvariants:
     def indefinite(self) -> bool:
         return self.b_plus > 0 and self.b_minus > 0
 
-    @property
-    def definite(self) -> bool:
-        return self.rank > 0 and (self.b_plus == 0 or self.b_minus == 0)
-
 
 def _orthogonal_summands(a: IntSymMatrix) -> list[list[int]]:
     """Basis indices of the form's orthogonal summands, each sorted.
@@ -276,17 +257,9 @@ def indefinite_unimodular_iso(a: IntSymMatrix, b: IntSymMatrix) -> bool:
 # -- admissibility -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    ok: bool
-    violations: tuple[str, ...]
-    form: FormInvariants
-
-
-def admissible_check(
-    q: IntSymMatrix, classes: Mapping[str, int]
-) -> AdmissibilityReport:
-    """Check the marked-pair Gram pattern and the global form conditions.
+def admissible_check(q: IntSymMatrix, classes: Mapping[str, int]) -> tuple[str, ...]:
+    """The failed clauses of the marked-pair Gram pattern and the global
+    form conditions; empty when the form is admissible.
 
     ``classes`` maps the labels T1, S1, T2, S2 to basis indices.  Required
     pattern: both tori square to zero, each torus meets its own dual once,
@@ -326,7 +299,7 @@ def admissible_check(
         violations.append(
             f"rank {q.n} < |signature| + 4 = {abs(inv.signature) + 4}"
         )
-    return AdmissibilityReport(not violations, tuple(violations), inv)
+    return tuple(violations)
 
 
 def complement_nonspin_witness(

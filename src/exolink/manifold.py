@@ -132,18 +132,17 @@ class MarkedSubmanifold:
     @classmethod
     def from_json(cls, data: dict) -> "MarkedSubmanifold":
         label = _typed(data, "label", str)  # first: a mark that is no object fails here
-        cls_field = data.get("class")
         complement = data.get("complement")
         shape = None if complement is None else (type(complement), *map(type, complement))
         if shape not in (None, (list, str, str)):
             raise ValueError(f"mark complement must be [presentation, meridian]: {complement!r}")
         return cls(
-            kind=data["kind"],
+            kind=_typed(data, "kind", str),
             label=label,
-            homology_class=None if cls_field is None else tuple(cls_field),
-            pi1_words=tuple(data.get("pi1_words", ())),
-            framing=data.get("framing", "product"),
-            flags=frozenset(data.get("flags", ())),
+            homology_class=None if data.get("class") is None else _typed_items(data, "class", int),
+            pi1_words=_typed_items(data, "pi1_words", str, ()),
+            framing=_typed(data, "framing", str, "product"),
+            flags=frozenset(_typed_items(data, "flags", str, ())),
             complement=None if complement is None else (complement[0], complement[1]),
         )
 
@@ -705,12 +704,29 @@ class AdmissibilityError(ValueError):
         super().__init__("; ".join(violations))
 
 
-def _typed(data: dict, key: str, kind: type):
-    """``data[key]``, which must be exactly a ``kind`` (so no bool for an int)."""
+_REQUIRED = object()
+
+
+def _typed(data: dict, key: str, kind: type, default=_REQUIRED):
+    """``data[key]``, which must be exactly a ``kind`` (so no bool for an int);
+    ``default`` when the key is missing and a default is given."""
+    if default is not _REQUIRED and key not in data:
+        return default
     value = data[key]
     if type(value) is not kind:
         raise TypeError(f"{key!r} must be {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+def _typed_items(data: dict, key: str, kind: type, default=_REQUIRED) -> tuple:
+    """``data[key]`` as a tuple: a list whose entries are exactly ``kind``s."""
+    items = tuple(_typed(data, key, list, default))
+    for item in items:
+        if type(item) is not kind:
+            raise TypeError(
+                f"{key!r} entries must be {kind.__name__}, got {type(item).__name__}"
+            )
+    return items
 
 
 def admissible_from_spec(spec_text: str) -> ManifoldRecord:
@@ -737,14 +753,17 @@ def admissible_from_spec(spec_text: str) -> ManifoldRecord:
         )
     violations: list[str] = []
     try:
-        basis = tuple(str(b) for b in _typed(data, "basis", list))
+        basis = _typed_items(data, "basis", str)
         form = IntSymMatrix.from_rows(_typed(data, "gram", list))
         euler = _typed(data, "euler", int)
         pi1 = GroupPresentation.parse(_typed(data, "pi1", str))
         marks = tuple(MarkedSubmanifold.from_json(m) for m in _typed(data, "marks", list))
-        roles = {str(k): str(v) for k, v in _typed(data, "admissible", dict).items()}
+        roles = _typed(data, "admissible", dict)
+        for label in roles.values():
+            if type(label) is not str:
+                raise TypeError(f"'admissible' values must be str, got {type(label).__name__}")
         sw_text = _typed(data, "sw", str)
-        name = str(data.get("name", "M"))
+        name = _typed(data, "name", str, "M")
     except (KeyError, ValueError, TypeError) as exc:
         raise AdmissibilityError([f"malformed spec: {exc}"]) from exc
     if len(basis) != form.n:
@@ -767,8 +786,7 @@ def admissible_from_spec(spec_text: str) -> ManifoldRecord:
         else:
             indices[role] = basis.index(label)
     if len(indices) == 4:
-        report = admissible_check(form, indices)
-        violations.extend(report.violations)
+        violations.extend(admissible_check(form, indices))
 
     mark_by_label = {m.label: m for m in marks}
     for role in ("T1", "T2"):

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from .groupring import GroupRingElement, to_text as ring_to_text, unit_collisions
 from .grouppres import (
-    MAX_SURFACE_GENUS,
     GroupPresentation,
     pi1_Ng,
     recognize_free,
@@ -137,11 +136,6 @@ class RecipeConfig:
             raise ConfigError(f"group kind must be free or surface, got {self.group_kind!r}")
         if self.genus < 1:
             raise ConfigError(f"genus must be >= 1, got {self.genus}")
-        if self.group_kind == "surface" and self.genus > MAX_SURFACE_GENUS:
-            raise ConfigError(
-                f"surface groups are recognized up to genus {MAX_SURFACE_GENUS}, "
-                f"got {self.genus}"
-            )
         if not self.knots:
             raise ConfigError("knot family is empty")
         first = self.knots[0]

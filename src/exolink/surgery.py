@@ -430,6 +430,11 @@ def loop_surgery(
         nullhomotopic = nullhomotopic or "nullhomotopic" in mark.flags
     elif word is None:
         raise SurgeryError(f"no loop mark {loop_label!r} and no inline word")
+    belt = f"belt[{loop_label}]"
+    if belt in existing:
+        # a glued copy of a surgered loop keeps its label (fiber_sum renames
+        # only against live labels), and its belt would take the old one's
+        raise SurgeryError(f"belt sphere {belt!r} already marks an earlier loop surgery")
     loop_word = m.pi1.word(word)
     if nullhomotopic and loop_word and not simplifies_trivial(m.pi1):
         raise SurgeryError(
@@ -477,7 +482,7 @@ def loop_surgery(
     marks.append(
         MarkedSubmanifold(
             kind="sphere_link_component",
-            label=f"belt[{loop_label}]",
+            label=belt,
             homology_class=belt_class,
             framing="belt",
             flags=frozenset({"trivial_normal_bundle"}),

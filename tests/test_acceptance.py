@@ -14,7 +14,6 @@ from itertools import combinations
 import pytest
 
 from exolink.cli import main
-from exolink.fixtures import spec_text
 from exolink.grouppres import (
     pi1_Ng,
     recognize_free,
@@ -52,6 +51,7 @@ from exolink.pipeline import (
     verify_trace_report,
 )
 from exolink.surgery import fiber_sum, knot_surgery, loop_surgery, sphere_surgery
+from specs import spec_text
 
 TIETZE_BUDGET = 10_000
 

@@ -12,12 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from exolink import pipeline
 from exolink.cli import main
-from exolink.fixtures import spec_text
 from exolink.knots import twist_knot_family
 from exolink.manifold import ObjectStore, compact_json
 from exolink.pipeline import RecipeConfig, run_recipe
+from specs import spec_text
 from test_report_golden import VERIFY_TRACE_SHA256
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -125,26 +124,16 @@ def test_recipe_run_usage_errors(tmp_path, even_spec_file, capsys):
     assert "--compare" in capsys.readouterr().err
 
 
-def test_surface_genus_past_recognizer_refused_before_any_record(
-    even_spec_file, monkeypatch, capsys
-):
-    built = []
-    real = pipeline.knot_surgery
-
-    def spy(*args, **kwargs):
-        built.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "knot_surgery", spy)
+def test_surface_genus_five_runs_to_pass(even_spec_file, capsys):
+    # the surface recognizer has no genus bound, so surface:5 is certified
     argv = ["recipe", "run", "--spec", str(even_spec_file), "--knots", "twist:0..3"]
-    assert main([*argv, "--group", "surface:5"]) == 2
-    err = capsys.readouterr().err
-    assert "error: surface groups are recognized up to genus 4, got 5" in err
-    assert "Traceback" not in err
-    assert built == []
-    # the spy sees the records of a genus the recognizer takes
-    assert main([*argv[:-1], "twist:0..1", "--group", "surface:1"]) == 0
-    assert len(built) == 2
+    assert main([*argv, "--group", "surface:5"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "pass"
+    assert report["config"]["group"] == "surface:5"
+    checks = {check["id"]: check["pass"] for check in report["checks"]}
+    assert len(checks) == 18 and all(checks.values())
+    assert checks["link_group/twist_3"]
 
 
 def test_recipe_run_failing_check_exits_1_but_writes_report(
@@ -341,8 +330,33 @@ def test_a_file_without_records_is_not_a_report(tmp_path, capsys, command):
         # int() would truncate it to 0, and the run would pass on another form
         (("gram", 0, 0), 0.5),
         ((), None),  # the whole document wrapped in a list
+        (("marks", 0, "kind"), ["torus"]),
+        # parse_word would call .strip() on an int: a traceback, not exit 2
+        (("marks", 0, "pi1_words"), [1, 2]),
+        # taken as they come, these would run to "pass" ...
+        (("marks", 0, "framing"), ["a"]),
+        (("marks", 0, "class"), [True] + [0] * 21),
+        (("name",), ["a"]),
+        # ... and str() or set() would turn these into a misleading violation
+        (("marks", 0, "flags"), "complement_simply_connected"),
+        (("basis", 0), 1),
+        (("admissible", "T1"), 1),
     ],
-    ids=["sw-int", "admissible-list", "short-complement", "fractional-gram", "top-level-list"],
+    ids=[
+        "sw-int",
+        "admissible-list",
+        "short-complement",
+        "fractional-gram",
+        "top-level-list",
+        "kind-list",
+        "pi1-words-int",
+        "framing-list",
+        "class-bool",
+        "name-list",
+        "flags-string",
+        "basis-int",
+        "admissible-int",
+    ],
 )
 def test_malformed_spec_exits_2(tmp_path, capsys, path, value):
     spec = json.loads(spec_text("even"))
@@ -445,11 +459,3 @@ def test_console_script_installed(tmp_path):
 )
 def test_console_script_on_path():
     check_script_runs([shutil.which("exolink")])
-
-
-def test_shipped_spec_files_match_generators():
-    for which in ("even", "odd"):
-        shipped = (REPO_ROOT / "fixtures" / f"M_{which}.json").read_text(
-            encoding="utf-8"
-        )
-        assert shipped == spec_text(which)

@@ -107,6 +107,17 @@ def test_recognize_surface():
     assert not recognize_surface(surface, 1, 10_000)
     # torus group
     assert recognize_surface(pi1_Z2(), 1, 10_000)
+    with pytest.raises(ValueError, match="genus >= 1"):
+        recognize_surface(pi1_Z2(), 0, 10_000)
+
+
+@pytest.mark.parametrize("genus", range(1, 9))
+def test_recognize_surface_at_any_genus(genus):
+    # killing the torus directions of T2 x Sigma_g leaves the genus-g group
+    p = pi1_product_surface(genus)
+    quotient = p.quotient_by_normal_closure([p.word("x"), p.word("y")])
+    assert recognize_surface(quotient, genus, 10_000)
+    assert not recognize_surface(quotient, genus + 1, 10_000)
 
 
 def test_tietze_simplify_and_replay():
@@ -147,8 +158,8 @@ def test_tietze_replay_refuses_a_recorded_word_that_does_not_match(text):
 
 
 def test_free_product_and_svk_glue():
-    f1 = GroupPresentation.free(("a",))
-    f2 = GroupPresentation.free(("a",))
+    f1 = GroupPresentation(("a",), ())
+    f2 = GroupPresentation(("a",), ())
     merged, offset = free_product(f1, f2)
     assert len(merged.generators) == 2
     assert offset == 1

@@ -30,7 +30,7 @@ def test_zero_and_one():
     one = GroupRingElement.one(2)
     assert zero.is_zero
     assert not one.is_zero
-    assert one.coefficient((0, 0)) == 1
+    assert one.terms == (((0, 0), 1),)
     assert to_text(zero) == "0"
     assert to_text(one) == "1"
 

@@ -4,7 +4,6 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exolink.fixtures import spec_text
 from exolink.groupring import GroupRingElement, to_text
 from exolink.grouppres import GroupPresentation
 from exolink.knots import twist_knot_family
@@ -27,6 +26,7 @@ from exolink.manifold import (
     unit_vector,
 )
 from exolink.surgery import fiber_sum, knot_surgery
+from specs import spec_text
 
 
 def test_u_factor():

@@ -4,7 +4,6 @@ import copy
 
 import pytest
 
-from exolink.fixtures import spec_text
 from exolink.grouppres import pi1_Ng
 from exolink.knots import TWIST_BRAIDS, KnotRecord, twist_knot_family
 from exolink.pipeline import (
@@ -20,6 +19,7 @@ from exolink.pipeline import (
     verify_trace_report,
 )
 from exolink.manifold import ObjectStore, canonical_json
+from specs import spec_text
 
 
 def make_config(count=3, kind="free", genus=1, **kwargs):
@@ -262,10 +262,8 @@ def test_config_validation_errors():
             genus=1,
             knots=twist_knot_family(1) * 2,
         )
-    # the surface recognizer stops at genus 4, so genus 5 is refused up front
-    assert make_config(1, kind="surface", genus=4).genus == 4
-    with pytest.raises(ConfigError, match="up to genus 4, got 5"):
-        make_config(1, kind="surface", genus=5)
+    # any genus >= 1 is taken, for surface groups as for free groups
+    assert make_config(1, kind="surface", genus=5).genus == 5
     assert make_config(1, kind="free", genus=5).genus == 5
 
 

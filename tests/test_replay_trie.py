@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exolink import manifold, surgery
-from exolink.fixtures import spec_text
 from exolink.knots import twist_knot_family
 from exolink.manifold import ObjectStore, record_to_json, same_json
 from exolink.pipeline import (
@@ -26,6 +25,7 @@ from exolink.pipeline import (
     verify_trace_report,
 )
 from exolink.surgery import ReplayTrie, build_from_trace
+from specs import spec_text
 
 SMALL_FAMILY = 3
 # M, B_G, ambient_reference, and Z[k] and Zstar[k] per knot

@@ -18,7 +18,6 @@ import pytest
 
 from exolink import pipeline
 from exolink.cli import main
-from exolink.fixtures import spec_text
 from exolink.knots import twist_knot_family
 from exolink.manifold import ObjectStore, compact_json, same_json
 from exolink.pipeline import (
@@ -28,6 +27,7 @@ from exolink.pipeline import (
     validate_certificate_partition,
     verify_trace_report,
 )
+from specs import spec_text
 from test_report_golden import (
     VERIFY_TRACE_SHA256,
     VERIFY_TRACE_STEP3_SHA256,

@@ -1,6 +1,7 @@
 """The runtime stays pure stdlib: importing every exolink module loads no
 third-party package.  It also reads no environment variable, so a run's
-inputs are exactly what its report records."""
+inputs are exactly what its report records, and it holds no module that the
+`exolink` command leaves unloaded."""
 import ast
 import json
 import os
@@ -23,19 +24,38 @@ print(json.dumps(sorted({name.split(".")[0] for name in sys.modules})))
 
 
 def test_runtime_imports_only_stdlib():
+    loaded = set(json.loads(_run_child(CHILD)))
+    assert "exolink" in loaded
+    foreign = loaded - set(sys.stdlib_module_names) - {"exolink", "__main__"}
+    assert not foreign, f"exolink imports non-stdlib modules: {sorted(foreign)}"
+
+
+# Imports only the command, then lists the package's modules that it left
+# unloaded: a module that no command imports is test-only code in the runtime.
+CLI_CHILD = """
+import json, pkgutil, sys
+import exolink.cli
+found = [info.name for info in pkgutil.walk_packages(exolink.__path__, "exolink.")]
+print(json.dumps(sorted(name for name in found if name not in sys.modules)))
+"""
+
+
+def _run_child(code: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-S", "-c", CHILD],
+        [sys.executable, "-S", "-c", code],
         capture_output=True,
         text=True,
         env=env,
         check=True,
     )
-    loaded = set(json.loads(done.stdout))
-    assert "exolink" in loaded
-    foreign = loaded - set(sys.stdlib_module_names) - {"exolink", "__main__"}
-    assert not foreign, f"exolink imports non-stdlib modules: {sorted(foreign)}"
+    return done.stdout
+
+
+def test_cli_loads_every_runtime_module():
+    unloaded = json.loads(_run_child(CLI_CHILD))
+    assert not unloaded, f"modules no command imports: {unloaded}"
 
 
 ENV_READS = {"environ", "environb", "getenv", "getenvb"}

@@ -1,8 +1,8 @@
 """Surgery operations: SW transformation, gluing, loop/sphere duality, replay."""
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exolink import surgery
-from exolink.fixtures import spec_text
 from exolink.groupring import embed_knot_poly_at_class, to_text
 from exolink.grouppres import recognize_free
 from exolink.knots import KnotRecord, twist_knot_family
@@ -27,6 +27,7 @@ from exolink.surgery import (
     mandelbaum_gompf_hypotheses,
     sphere_surgery,
 )
+from specs import spec_text
 
 TREFOIL = KnotRecord.from_braid("trefoil", "2: s1^3")
 UNKNOT = KnotRecord.from_braid("unknot", "1:")
@@ -174,6 +175,15 @@ def test_loop_surgery_requires_real_drop():
         loop_surgery(block, "c", word="[x,y]")
 
 
+def test_loop_surgery_refuses_a_taken_belt_label():
+    # the glued block's loop_a1 keeps its label, as the surgered one is gone
+    surgered = loop_surgery(product_T2_Sigma_g(1), "loop_a1")
+    glued = fiber_sum(surgered, "T", product_T2_Sigma_g(1), "T")
+    assert glued.mark("loop_a1").kind == "loop"
+    with pytest.raises(SurgeryError, match=r"belt\[loop_a1\].* already marks"):
+        loop_surgery(glued, "loop_a1")
+
+
 def test_sphere_surgery_inverts_loop_surgery():
     block = kodaira_thurston_block(2)
     step1 = loop_surgery(block, "loop_b1")
@@ -298,6 +308,71 @@ def test_replay_covers_connected_sum_and_nullhomotopic_loops():
     )
     rebuilt = build_from_trace(m.trace)
     assert canonical_json(record_to_json(rebuilt)) == canonical_json(record_to_json(m))
+
+
+START = {
+    "M_even": even_base,
+    "M_odd": odd_base,
+    "KT1": lambda: kodaira_thurston_block(1),
+    "KT2": lambda: kodaira_thurston_block(2),
+    "P1": lambda: product_T2_Sigma_g(1),
+    "P2": lambda: product_T2_Sigma_g(2),
+    "T2xS2": lambda: standard_block("T2xS2"),
+}
+GLUE_BLOCKS = (
+    lambda: kodaira_thurston_block(1),
+    lambda: product_T2_Sigma_g(1),
+    lambda: standard_block("T2xS2"),
+)
+SUMMANDS = ("S4", "S2xS2", "S2xS2_twisted", "S1xS3")
+TWISTS = twist_knot_family(4)
+
+
+def _labels(record, kind):
+    return sorted(m.label for m in record.marks if m.kind == kind)
+
+
+def _random_operation(data, record):
+    """One surgery on ``record`` drawn by ``data``, or None where its kind has
+    no mark to act on."""
+    tori, loops = _labels(record, "torus"), _labels(record, "loop")
+    belts = _labels(record, "sphere_link_component")
+    op = data.draw(
+        st.sampled_from(["knot", "fiber", "loop", "connected_sum", "sphere"]), label="op"
+    )
+    if op == "knot" and tori:
+        torus, knot = data.draw(st.sampled_from(tori)), data.draw(st.sampled_from(TWISTS))
+        return lambda: knot_surgery(record, torus, knot)
+    if op == "fiber" and tori:
+        torus, block = data.draw(st.sampled_from(tori)), data.draw(st.sampled_from(GLUE_BLOCKS))
+        return lambda: fiber_sum(record, torus, block(), "T")
+    if op == "loop" and loops:
+        loop = data.draw(st.sampled_from(loops))
+        return lambda: loop_surgery(record, loop)
+    if op == "connected_sum":
+        summand = data.draw(st.sampled_from(SUMMANDS))
+        return lambda: connected_sum(record, standard_block(summand))
+    if op == "sphere" and belts:
+        belt = data.draw(st.sampled_from(belts))
+        return lambda: sphere_surgery(record, belt)
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_random_surgery_sequences_replay_byte_for_byte(data):
+    # whatever sequence of surgeries built a record, its trace alone
+    # rebuilds it byte for byte
+    record = START[data.draw(st.sampled_from(sorted(START)), label="start")]()
+    for _ in range(data.draw(st.integers(1, 4), label="length")):
+        operation = _random_operation(data, record)
+        if operation is None:
+            continue
+        try:
+            record = operation()
+        except SurgeryError:
+            pass  # a refused surgery leaves the record as it was
+    assert same_json(record_to_json(build_from_trace(record.trace)), record_to_json(record))
 
 
 def test_dissolve_after_stabilization():
