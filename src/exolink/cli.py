@@ -85,7 +85,6 @@ def _cmd_recipe_run(args: argparse.Namespace) -> int:
             group_kind=kind,
             genus=genus,
             knots=knots,
-            budget_tietze=args.budget_tietze,
         )
     except (ConfigError, ValueError) as exc:
         raise _UsageError(str(exc)) from exc
@@ -120,7 +119,7 @@ def _cmd_recipe_run(args: argparse.Namespace) -> int:
 
 def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
     try:
-        report = verify_lemma_suite(args.gmax, args.budget_tietze)
+        report = verify_lemma_suite(args.gmax)
     except ConfigError as exc:
         raise _UsageError(str(exc)) from exc
     print(canonical_json(report))
@@ -236,14 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--group", required=True, help="free:G or surface:G")
     run.add_argument("--knots", required=True, help="twist:A..B or name=braid;...")
     run.add_argument("--out", help="write the report JSON here")
-    run.add_argument("--budget-tietze", type=int, default=None, metavar="N")
     run.set_defaults(func=_cmd_recipe_run)
 
     verify = sub.add_parser("verify", help="verification suites")
     verify_sub = verify.add_subparsers(dest="verify_cmd", required=True)
     lemmas = verify_sub.add_parser("lemmas", help="block identities at invariant level")
     lemmas.add_argument("--gmax", type=int, required=True)
-    lemmas.add_argument("--budget-tietze", type=int, default=None, metavar="N")
     lemmas.set_defaults(func=_cmd_verify_lemmas)
 
     trace = sub.add_parser("verify-trace", help="replay the traces in a report")

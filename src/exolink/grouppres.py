@@ -7,8 +7,8 @@ moves are logged and replayable, so every simplification that feeds a
 certificate can be checked mechanically.
 
 The recognizers are sound but incomplete: a None / False answer means "not
-recognized within budget", never a disproof, and a positive answer is backed
-by an explicit relator-free or canonical-relator presentation.
+recognized by the simplifier", never a disproof, and a positive answer is
+backed by an explicit relator-free or canonical-relator presentation.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from .lattice import abelian_invariants_from_matrix
 
 Word = tuple[int, ...]
 
-DEFAULT_TIETZE_BUDGET = 10_000
 _MAX_DEFINING_LENGTH = 16
 
 
@@ -341,6 +340,8 @@ class TietzeStep:
 @dataclass(frozen=True)
 class TietzeLog:
     steps: tuple[TietzeStep, ...]
+    # always False now that simplification runs to its fixpoint; kept while
+    # the benchmark tracer still counts it
     exhausted: bool = False
 
 
@@ -369,15 +370,6 @@ def _renumber(word: Word, removed: int) -> Word:
     return tuple(out)
 
 
-def _apply_drop_empty(
-    gens: tuple[str, ...], rels: list[Word], step: TietzeStep
-) -> tuple[tuple[str, ...], list[Word]]:
-    if not (0 <= step.relator_index < len(rels)) or rels[step.relator_index]:
-        raise ValueError("drop_empty step does not match the presentation")
-    del rels[step.relator_index]
-    return gens, rels
-
-
 def _defining_word(relator: Word, g: int) -> Word:
     """The word w with g = w, read off a relator in which g occurs once."""
     k = next(k for k, letter in enumerate(relator) if abs(letter) == g)
@@ -385,22 +377,27 @@ def _defining_word(relator: Word, g: int) -> Word:
     return concat(invert_word(u), invert_word(v)) if letter > 0 else concat(v, u)
 
 
+def _eliminate(
+    gens: tuple[str, ...], rels: list[Word], i: int, g: int
+) -> tuple[tuple[str, ...], list[Word], Word]:
+    """Pop relator i and substitute g away by the word it defines; returns
+    the new generators and relators and that word."""
+    w = _defining_word(rels.pop(i), g)
+    rels = [cyclic_reduce(_renumber(_substitute(r, g, w), g)) for r in rels]
+    return gens[: g - 1] + gens[g:], rels, w
+
+
 def _apply_eliminate(
     gens: tuple[str, ...], rels: list[Word], step: TietzeStep
 ) -> tuple[tuple[str, ...], list[Word]]:
-    i, g, w = step.relator_index, step.generator, step.replacement
+    i, g = step.relator_index, step.generator
     if not (0 <= i < len(rels)) or not (1 <= g <= len(gens)):
         raise ValueError("eliminate step out of range")
-    relator = rels[i]
-    if sum(1 for letter in relator if abs(letter) == g) != 1:
+    if sum(1 for letter in rels[i] if abs(letter) == g) != 1:
         raise ValueError("eliminate step: generator does not occur exactly once")
-    if _defining_word(relator, g) != w:
+    new_gens, new_rels, w = _eliminate(gens, rels, i, g)
+    if w != step.replacement:
         raise ValueError("eliminate step: recorded replacement does not match")
-    del rels[i]
-    new_rels = [
-        cyclic_reduce(_renumber(_substitute(r, g, w), g)) for r in rels
-    ]
-    new_gens = gens[: g - 1] + gens[g:]
     return new_gens, new_rels
 
 
@@ -410,7 +407,9 @@ def replay_tietze(source: GroupPresentation, log: TietzeLog) -> GroupPresentatio
     rels = list(source.relators)
     for step in log.steps:
         if step.kind == "drop_empty":
-            gens, rels = _apply_drop_empty(gens, rels, step)
+            if not (0 <= step.relator_index < len(rels)) or rels[step.relator_index]:
+                raise ValueError("drop_empty step does not match the presentation")
+            del rels[step.relator_index]
         elif step.kind == "eliminate":
             gens, rels = _apply_eliminate(gens, rels, step)
         else:
@@ -418,32 +417,23 @@ def replay_tietze(source: GroupPresentation, log: TietzeLog) -> GroupPresentatio
     return GroupPresentation(gens, tuple(rels))
 
 
-def tietze_simplify(
-    p: GroupPresentation, budget: int | None = None
-) -> tuple[GroupPresentation, TietzeLog]:
-    """Greedy deterministic simplification with a move budget.
+def tietze_simplify(p: GroupPresentation) -> tuple[GroupPresentation, TietzeLog]:
+    """Greedy deterministic simplification, run to its fixpoint.
 
     Move priority: drop an empty relator; otherwise eliminate the generator
     defined by the shortest relator (length <= 16) in which it occurs exactly
-    once, ties broken by generator then relator index.  Stops at a fixpoint
-    or when the budget is exhausted (flagged on the log).  A budget of None
-    means ``DEFAULT_TIETZE_BUDGET`` moves.
+    once, ties broken by generator then relator index.  Every move deletes a
+    relator, so the loop stops within ``len(p.relators)`` moves and the log
+    is never ``exhausted``.
     """
-    if budget is None:
-        budget = DEFAULT_TIETZE_BUDGET
     gens = p.generators
     rels = list(p.relators)
     steps: list[TietzeStep] = []
-    exhausted = False
     while True:
-        if len(steps) >= budget:
-            exhausted = True
-            break
         empty_at = next((i for i, r in enumerate(rels) if not r), None)
         if empty_at is not None:
-            step = TietzeStep("drop_empty", empty_at)
-            gens, rels = _apply_drop_empty(gens, rels, step)
-            steps.append(step)
+            del rels[empty_at]
+            steps.append(TietzeStep("drop_empty", empty_at))
             continue
         candidate: tuple[int, int, int] | None = None  # (len, gen, rel index)
         for i, r in enumerate(rels):
@@ -460,16 +450,15 @@ def tietze_simplify(
         if candidate is None:
             break
         _, g, i = candidate
-        step = TietzeStep("eliminate", i, g, _defining_word(rels[i], g))
-        gens, rels = _apply_eliminate(gens, rels, step)
-        steps.append(step)
-    return GroupPresentation(gens, tuple(rels)), TietzeLog(tuple(steps), exhausted)
+        gens, rels, w = _eliminate(gens, rels, i, g)
+        steps.append(TietzeStep("eliminate", i, g, w))
+    return GroupPresentation(gens, tuple(rels)), TietzeLog(tuple(steps))
 
 
 # -- recognizers ---------------------------------------------------------------
 
 
-def recognize_free(p: GroupPresentation, budget: int | None = None) -> int | None:
+def recognize_free(p: GroupPresentation) -> int | None:
     """Rank if the presentation simplifies to a relator-free one, else None.
 
     Incomplete by design; a None is "not recognized", not a refutation.  The
@@ -479,7 +468,7 @@ def recognize_free(p: GroupPresentation, budget: int | None = None) -> int | Non
     _, torsion = p.abelianization()
     if torsion:
         return None
-    simplified, _ = tietze_simplify(p, budget)
+    simplified, _ = tietze_simplify(p)
     if not simplified.relators:
         return len(simplified.generators)
     return None
@@ -513,9 +502,7 @@ def _match_relabeling(word: Word, target: Word) -> bool:
     return True
 
 
-def recognize_surface(
-    p: GroupPresentation, genus: int, budget: int | None = None
-) -> bool:
+def recognize_surface(p: GroupPresentation, genus: int) -> bool:
     """Recognize the canonical one-relator surface-group presentation.
 
     True only if simplification reaches 2*genus generators and a single
@@ -525,7 +512,7 @@ def recognize_surface(
     """
     if genus < 1:
         raise ValueError(f"recognize_surface needs genus >= 1, got {genus}")
-    simplified, _ = tietze_simplify(p, budget)
+    simplified, _ = tietze_simplify(p)
     if len(simplified.generators) != 2 * genus or len(simplified.relators) != 1:
         return False
     relator = simplified.relators[0]

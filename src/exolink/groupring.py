@@ -275,24 +275,20 @@ def _unit_normal_terms(a: GroupRingElement) -> tuple[tuple[ExponentVector, int],
     )
 
 
-def unit_normal_form(
-    a: GroupRingElement, allow_inversion: bool = False
-) -> tuple[tuple[ExponentVector, int], ...]:
-    """A key on which a and b agree exactly when ``equal_up_to_units`` holds.
+def unit_normal_form(a: GroupRingElement) -> tuple[tuple[ExponentVector, int], ...]:
+    """A key on which a and b agree exactly when they match up to units and
+    t -> t^-1, that is, when ``equal_up_to_units(a, b, True)`` holds.
 
     Every term is shifted so the first term's exponent is 0 and the
-    coefficients are signed so its coefficient is positive.  With
-    ``allow_inversion`` the key is the smaller of the normal forms of a and
-    of a with t -> t^-1: inversion is an involution that commutes with
-    units, so those two forms make up the whole class.  Zero keys to ().
-    Comparing k elements pairwise then costs k keys, not k^2 searches.
+    coefficients are signed so its coefficient is positive.  The key is the
+    smaller of the normal forms of a and of a with t -> t^-1: inversion is an
+    involution that commutes with units, so those two forms make up the
+    whole class.  Zero keys to ().  Comparing k elements pairwise then costs
+    k keys, not k^2 searches.
     """
     if a.is_zero:
         return ()
-    key = _unit_normal_terms(a)
-    if allow_inversion:
-        key = min(key, _unit_normal_terms(a.invert_vars()))
-    return key
+    return min(_unit_normal_terms(a), _unit_normal_terms(a.invert_vars()))
 
 
 def unit_collisions(named: Mapping[str, GroupRingElement]) -> list[list[str]]:
@@ -304,7 +300,7 @@ def unit_collisions(named: Mapping[str, GroupRingElement]) -> list[list[str]]:
     """
     groups: dict[tuple, list[str]] = {}
     for name, elem in named.items():
-        groups.setdefault(unit_normal_form(elem, allow_inversion=True), []).append(name)
+        groups.setdefault(unit_normal_form(elem), []).append(name)
     return [names for names in groups.values() if len(names) > 1]
 
 

@@ -252,8 +252,8 @@ def invariant_tuple(record: ManifoldRecord) -> dict:
     }
 
 
-def simplifies_trivial(p: GroupPresentation, budget: int | None = None) -> bool:
-    simplified, _ = tietze_simplify(p, budget)
+def simplifies_trivial(p: GroupPresentation) -> bool:
+    simplified, _ = tietze_simplify(p)
     return not simplified.generators and not simplified.relators
 
 

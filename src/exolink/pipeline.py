@@ -114,13 +114,6 @@ class CertificateError(RuntimeError):
         self.report = report
 
 
-def _check_budget(budget: int | None) -> None:
-    # a negative budget would make every recognition run out at once, which
-    # reads like a negative answer
-    if budget is not None and budget < 0:
-        raise ConfigError(f"Tietze budget must be >= 0, got {budget}")
-
-
 @dataclass(frozen=True)
 class RecipeConfig:
     """Inputs to `run_recipe`, validated on construction."""
@@ -129,7 +122,6 @@ class RecipeConfig:
     group_kind: str  # "free" | "surface"
     genus: int
     knots: tuple[KnotRecord, ...]
-    budget_tietze: int | None = None
 
     def __post_init__(self) -> None:
         if self.group_kind not in ("free", "surface"):
@@ -148,7 +140,6 @@ class RecipeConfig:
         names = [k.name for k in self.knots]
         if len(set(names)) != len(names):
             raise ConfigError("knot names must be distinct")
-        _check_budget(self.budget_tietze)
 
     @property
     def loop_count(self) -> int:
@@ -207,7 +198,6 @@ class _Report:
                     {"name": k.name, "braid": braid_to_text(k.braid)}
                     for k in cfg.knots
                 ],
-                "budget_tietze": cfg.budget_tietze,
             },
             "records": {},
             "objects": self.store.objects,
@@ -453,7 +443,7 @@ def run_recipe(cfg: RecipeConfig) -> dict:
     _certify_link_group(rep, cfg, z_records)
     _certify_smooth_inequivalence(rep, z_records)
     ambient = _certify_ambient(rep, cfg, base, zstar_records)
-    _certify_topological_isotopy(rep, cfg, base, zstar_records)
+    _certify_topological_isotopy(rep, base, zstar_records)
     _certify_surgery_consistency(rep, cfg, z_records, zstar_records, links, memo)
     rep.data["certificates"]["symmetry"] = _symmetry_section(rep, cfg, block, zstar_records, loops)
     rep.data["certificates"]["brunnian"] = brunnian_certificate_section(
@@ -486,11 +476,11 @@ def _certify_link_group(rep: _Report, cfg: RecipeConfig, z_records) -> None:
     per_knot = {}
     for name, z in z_records.items():
         if cfg.group_kind == "free":
-            rank = recognize_free(z.pi1, cfg.budget_tietze)
+            rank = recognize_free(z.pi1)
             ok = rank == cfg.genus
             per_knot[name] = {"recognized": ok, "rank": rank}
         else:
-            ok = recognize_surface(z.pi1, cfg.genus, cfg.budget_tietze)
+            ok = recognize_surface(z.pi1, cfg.genus)
             per_knot[name] = {"recognized": ok}
         rep.check(
             f"link_group/{name}",
@@ -581,9 +571,9 @@ def _certify_ambient(rep: _Report, cfg: RecipeConfig, base, zstar_records) -> Ma
     return ambient
 
 
-def _certify_topological_isotopy(rep: _Report, cfg: RecipeConfig, base, zstar_records) -> None:
+def _certify_topological_isotopy(rep: _Report, base, zstar_records) -> None:
     trivial = {
-        name: simplifies_trivial(zs.pi1, cfg.budget_tietze)
+        name: simplifies_trivial(zs.pi1)
         for name, zs in zstar_records.items()
     }
     rep.check(
@@ -852,10 +842,10 @@ def _tuple_check(name: str, left_label: str, left: dict, right_label: str, right
     }
 
 
-def lemma_free_quotient(p: GroupPresentation, genus: int, budget: int | None = None) -> dict:
+def lemma_free_quotient(p: GroupPresentation, genus: int) -> dict:
     """Check that killing x and y in the block group leaves a rank-g free group."""
     quotient = p.quotient_by_normal_closure([p.word("x"), p.word("y")])
-    rank = recognize_free(quotient, budget)
+    rank = recognize_free(quotient)
     return {
         "name": f"free_quotient_g{genus}",
         "pass": rank == genus,
@@ -864,7 +854,7 @@ def lemma_free_quotient(p: GroupPresentation, genus: int, budget: int | None = N
     }
 
 
-def verify_lemma_suite(gmax: int, budget: int | None = None) -> dict:
+def verify_lemma_suite(gmax: int) -> dict:
     """Invariant-level verification of the block identities for g = 1..gmax.
 
     Every compared tuple is recomputed from constructors and operations;
@@ -873,7 +863,6 @@ def verify_lemma_suite(gmax: int, budget: int | None = None) -> dict:
     """
     if gmax < 1:
         raise ConfigError(f"gmax must be >= 1, got {gmax}")
-    _check_budget(budget)
     checks: list[dict] = []
     t2xs2 = standard_block("T2xS2")
 
@@ -950,7 +939,7 @@ def verify_lemma_suite(gmax: int, budget: int | None = None) -> dict:
             )
         )
 
-        checks.append(lemma_free_quotient(pi1_Ng(g), g, budget))
+        checks.append(lemma_free_quotient(pi1_Ng(g), g))
 
         # iterated fiber sum of g copies of the g=1 block matches the
         # direct constructor, tracked invariants and sw alike

@@ -80,6 +80,19 @@ def _carry(mark: MarkedSubmanifold, move_class=None, **changes) -> MarkedSubmani
     return replace(mark, homology_class=cls, complement=None, **changes)
 
 
+def _glue_taken_labels(a: ManifoldRecord) -> set[str]:
+    """Labels the other side's marks avoid when glued onto ``a``: a's own,
+    ``belt[L]`` for each loop L and L for each belt ``belt[L]``, so that
+    either side's loops keep their belt labels free."""
+    taken = {mark.label for mark in a.marks}
+    for mark in a.marks:
+        if mark.kind == "loop":
+            taken.add(f"belt[{mark.label}]")
+        elif mark.label.startswith("belt[") and mark.label.endswith("]"):
+            taken.add(mark.label[len("belt["):-1])
+    return taken
+
+
 def _rel_tori(
     sw: GroupRingElement | None, marks: list[MarkedSubmanifold], labels: set[str]
 ) -> frozenset[str]:
@@ -356,7 +369,7 @@ def fiber_sum(
         for old in a.marks
     ]
     b_marks = [old for old in b.marks if old.label != torus_b]
-    b_labels = fresh_names([old.label for old in a.marks], [old.label for old in b_marks])
+    b_labels = fresh_names(_glue_taken_labels(a), [old.label for old in b_marks])
     marks += [
         _carry(
             old,
@@ -432,8 +445,8 @@ def loop_surgery(
         raise SurgeryError(f"no loop mark {loop_label!r} and no inline word")
     belt = f"belt[{loop_label}]"
     if belt in existing:
-        # a glued copy of a surgered loop keeps its label (fiber_sum renames
-        # only against live labels), and its belt would take the old one's
+        # an inline-word loop is no mark, so surgering its label twice
+        # would give the second belt the first one's label
         raise SurgeryError(f"belt sphere {belt!r} already marks an earlier loop surgery")
     loop_word = m.pi1.word(word)
     if nullhomotopic and loop_word and not simplifies_trivial(m.pi1):
@@ -614,7 +627,7 @@ def connected_sum(a: ManifoldRecord, b: ManifoldRecord) -> ManifoldRecord:
     def remap(text: str) -> str:
         return word_to_text(shift_word(b.pi1.word(text), offset), pi1.generators)
 
-    b_labels = fresh_names([old.label for old in a.marks], [old.label for old in b.marks])
+    b_labels = fresh_names(_glue_taken_labels(a), [old.label for old in b.marks])
     marks = [_carry(old, lambda cls: cls + (0,) * b.form.n) for old in a.marks]
     marks += [
         _carry(
@@ -850,9 +863,12 @@ def mandelbaum_gompf_hypotheses(
         raise SurgeryError("glued torus needs a homology class for the witness hunt")
     i = _basis_index_of_class(x, mark)
     j = _hyperbolic_partner(x.form, i)
-    witness = find_nonspin_witness(
-        x.form, unit_vector(x.form.n, i), unit_vector(x.form.n, j)
-    )
+    try:
+        witness = find_nonspin_witness(
+            x.form, unit_vector(x.form.n, i), unit_vector(x.form.n, j)
+        )
+    except ValueError as exc:
+        raise SurgeryError(f"non-spin witness hunt refused: {exc}") from exc
     if witness is None:
         raise SurgeryError(
             "no non-spin witness in the torus complement and X is not "

@@ -53,9 +53,6 @@ from exolink.pipeline import (
 from exolink.surgery import fiber_sum, knot_surgery, loop_surgery, sphere_surgery
 from specs import spec_text
 
-TIETZE_BUDGET = 10_000
-
-
 @contextmanager
 def criterion(number: int, label: str):
     start = time.perf_counter()
@@ -117,8 +114,8 @@ def test_criterion_3_group_engine():
             quotient = block.quotient_by_normal_closure(
                 [block.word("x"), block.word("y")]
             )
-            assert recognize_free(quotient, TIETZE_BUDGET) == g
-            simplified, log = tietze_simplify(quotient, TIETZE_BUDGET)
+            assert recognize_free(quotient) == g
+            simplified, log = tietze_simplify(quotient)
             assert replay_tietze(quotient, log) == simplified
 
         base = even_base()
@@ -126,9 +123,9 @@ def test_criterion_3_group_engine():
         for g in (1, 2):
             surgered = knot_surgery(base, "T1", trefoil)
             z_free = fiber_sum(surgered, "T2", kodaira_thurston_block(g), "T")
-            assert recognize_free(z_free.pi1, TIETZE_BUDGET) == g
+            assert recognize_free(z_free.pi1) == g
             z_surface = fiber_sum(surgered, "T2", product_T2_Sigma_g(g), "T")
-            assert recognize_surface(z_surface.pi1, g, TIETZE_BUDGET)
+            assert recognize_surface(z_surface.pi1, g)
 
 
 def test_criterion_4_lemma_suite():

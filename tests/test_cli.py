@@ -122,6 +122,13 @@ def test_recipe_run_usage_errors(tmp_path, even_spec_file, capsys):
     argv = ["recipe", "run", "--spec", str(even_spec_file), "--group", "free:1"]
     assert main([*argv, "--knots", "twist:0..1", "--compare", "strict"]) == 2
     assert "--compare" in capsys.readouterr().err
+    # Tietze simplification runs to its fixpoint, so there is no budget option
+    for command in (
+        [*argv, "--knots", "twist:0..1", "--budget-tietze", "5"],
+        ["verify", "lemmas", "--gmax", "1", "--budget-tietze", "5"],
+    ):
+        assert main(command) == 2
+        assert "--budget-tietze" in capsys.readouterr().err
 
 
 def test_surface_genus_five_runs_to_pass(even_spec_file, capsys):
@@ -270,6 +277,40 @@ def test_report_render_human_summary(tmp_path, capsys):
     assert "compare:" not in text
 
 
+def test_odd_s2_square_fails_only_the_rewrite_hypotheses(tmp_path, capsys):
+    # admissibility leaves S2.S2 free; an odd square makes the non-spin
+    # witness hunt refuse, which a free run reports as one failed check
+    spec = json.loads(spec_text("odd"))
+    s2 = spec["basis"].index(spec["admissible"]["S2"])
+    spec["gram"][s2][s2] = 1
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec), encoding="utf-8")
+    argv = ["recipe", "run", "--spec", str(spec_file), "--knots", "twist:0..2"]
+    free, surface = tmp_path / "free.json", tmp_path / "surface.json"
+
+    assert main([*argv, "--group", "free:1", "--out", str(free)]) == 1
+    capsys.readouterr()
+    report = json.loads(free.read_text(encoding="utf-8"))
+    assert report["verdict"] == "fail"
+    assert [c["id"] for c in report["checks"] if not c["pass"]] == ["brunnian_mg_hypotheses"]
+    mg = next(e for e in report["entries"] if e["id"] == "mg_hypotheses")
+    assert mg["data"] == {
+        "certified": False,
+        "blocked_by": "non-spin witness hunt refused: S2 must have even square",
+    }
+    assert main(["verify-trace", str(free)]) == 0
+    assert main(["report", "render", str(free)]) == 0
+    assert "FAIL brunnian_mg_hypotheses: " in capsys.readouterr().out
+
+    # a surface run never reaches the rewrite hypotheses
+    assert main([*argv, "--group", "surface:1", "--out", str(surface)]) == 0
+    capsys.readouterr()
+    assert main(["report", "render", str(surface)]) == 0
+    text = capsys.readouterr().out
+    assert "verdict: pass" in text
+    assert "brunnian: weaker paired-component property only" in text
+
+
 def test_report_render_reads_reports_with_pair_tables(tmp_path, capsys):
     # a v2 report written while smooth inequivalence was a k(k-1)/2 pair
     # table: the README configuration, with its digest of that time
@@ -375,17 +416,6 @@ def test_malformed_spec_exits_2(tmp_path, capsys, path, value):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: malformed spec: ") and "Traceback" not in captured.err
     assert not captured.out
-
-
-def test_negative_tietze_budget_exits_2(even_spec_file, capsys):
-    recipe = ["recipe", "run", "--spec", str(even_spec_file), "--group", "free:1"]
-    for command in (
-        [*recipe, "--knots", "twist:0..1", "--budget-tietze", "-3"],
-        ["verify", "lemmas", "--gmax", "1", "--budget-tietze", "-1"],
-    ):
-        assert main(command) == 2
-        captured = capsys.readouterr()
-        assert "Tietze budget must be >= 0" in captured.err and not captured.out
 
 
 def test_help_exits_zero(capsys):

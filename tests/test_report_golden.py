@@ -15,11 +15,11 @@ from exolink.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-REPORT_SHA256 = "6f79819da5524b70b71de501b292009bf748c79d4c8ca263d4b070b4bf40e09a"
+REPORT_SHA256 = "df47ccc64837282cd895fccc0cb2f50a9cda9acb546fbda57583059caa540ea8"
 VERIFY_TRACE_SHA256 = "156b9fd7389dfa11c1a37dac96a2a125192bdf8c177b84f83b3457f3f3986a38"
 VERIFY_TRACE_STEP3_SHA256 = "316c934a68bd929609a0211cea05bacb9af82ed1b587f55ddfe7118afc13b93b"
 # recipe run --spec fixtures/M_odd.json --group surface:1 --knots twist:0..3
-ODD_REPORT_SHA256 = "a2202b8e17bdf99eb6c6710638a4c680e27a1e63678afb1a270551469606cf71"
+ODD_REPORT_SHA256 = "032e2e8592912d1e0acdcde039d2dc1d06f3172bb67c768713240c10495f105f"
 ODD_VERIFY_TRACE_SHA256 = "f971442a726289f4e29bad3422fbdf0284f08a54eb7f2914efbbdec3abb38a1f"
 
 
@@ -58,7 +58,8 @@ def test_odd_base_product_block_digests(tmp_path, capsys):
 
 
 def test_readme_report_ignores_the_environment(tmp_path, monkeypatch, capsys):
-    # the report's config is the whole input: a budget set outside it would
-    # change the verdict without the report saying so
+    # the report's config is the whole input: a setting read from outside
+    # it, such as a Tietze move limit, would change the verdict without the
+    # report saying so
     monkeypatch.setenv("EXOLINK_TIETZE_BUDGET", "1")
     assert _sha256(_readme_report(tmp_path).read_bytes()) == REPORT_SHA256
