@@ -298,9 +298,7 @@ def record_to_json(record: ManifoldRecord) -> dict:
         "gram": [list(row) for row in record.form.rows],
         "sw": None if record.sw is None else ring_to_text(record.sw),
         "sw_reason": record.sw_reason,
-        "rel_sw": {
-            label: ring_to_text(record.rel_factor(label)) for label in sorted(record.rel_tori)
-        },
+        "rel_tori": sorted(record.rel_tori),
         "marks": [m.to_json() for m in record.marks],
         "flags": sorted(record.flags),
         "trace": [dict(step) for step in record.trace],
@@ -308,14 +306,15 @@ def record_to_json(record: ManifoldRecord) -> dict:
 
 
 def record_from_json(data: dict) -> ManifoldRecord:
-    """The record of a `record_to_json` document; ValueError if a stored
-    relative factor is not the one derived from its sw."""
+    """The record of a `record_to_json` document.  One written before report v3
+    stores ``rel_sw`` texts in place of ``rel_tori``: ValueError if one of
+    them is not the relative factor derived from sw."""
     if data.get("format") != FORMAT_RECORD:
         raise ValueError(f"not a {FORMAT_RECORD} document")
     basis = tuple(data["basis"])
     b2 = len(basis)
     sw = None if data["sw"] is None else ring_from_text(data["sw"], b2)
-    rel_sw = data.get("rel_sw", {})
+    rel_sw = data.get("rel_sw")
     record = ManifoldRecord(
         name=data["name"],
         pi1=GroupPresentation.parse(data["pi1"]),
@@ -325,11 +324,11 @@ def record_from_json(data: dict) -> ManifoldRecord:
         sw=sw,
         sw_reason=data["sw_reason"],
         marks=tuple(MarkedSubmanifold.from_json(m) for m in data["marks"]),
-        rel_tori=frozenset(rel_sw),
+        rel_tori=frozenset(_typed_items(data, "rel_tori", str) if rel_sw is None else rel_sw),
         flags=frozenset(data.get("flags", ())),
         trace=tuple(data.get("trace", ())),
     )
-    for label, text in rel_sw.items():
+    for label, text in (rel_sw or {}).items():
         if ring_from_text(text, b2) != record.rel_factor(label):
             raise ValueError(f"relative factor for {label!r} disagrees with sw")
     return record
@@ -348,7 +347,7 @@ def object_key(text: str) -> str:
 
 
 class ObjectStore:
-    """A content-addressed table of JSON values: the storage of a v2 report.
+    """A content-addressed table of JSON values: the storage of v2 and v3 reports.
 
     Each value is stored once, under the `object_key` of its `compact_json`
     rendering, as git stores its objects.  The object form of a record is

@@ -55,7 +55,7 @@ from .surgery import (
     sphere_surgery,
 )
 
-REPORT_FORMAT = "exolink/report/v2"
+REPORT_FORMAT = "exolink/report/v3"
 
 CITE_SW_DISTINGUISHES = (
     "distinct Seiberg-Witten elements obstruct any smooth equivalence of the "
@@ -248,11 +248,11 @@ class _Report:
 
 
 def _record_reader(report: dict, store: ObjectStore | None = None):
-    """``(names, read)``: the record names of a v1 or v2 report, and a
+    """``(names, read)``: the record names of a v1, v2 or v3 report, and a
     function that returns one record in its `record_to_json` form.
     ``store`` is the `ObjectStore` that wrote the report's objects, if any.
 
-    A v1 report stores records in that form; a v2 report stores the key of
+    A v1 report stores records in that form; v2 and v3 store the key of
     each record's object (see `ObjectStore`), which ``read`` expands, with
     the Gram matrix made dense again.  What ``read`` returns shares values
     with the report, so copy a value before editing it in place.  It
@@ -260,14 +260,14 @@ def _record_reader(report: dict, store: ObjectStore | None = None):
     its trace is not a list of objects, or it does not resolve: a key names
     no object, or an object does not hash to its key (ObjectMismatch,
     naming that key).  Raises ValueError at once when ``records`` is
-    missing, or when it or a v2 report's ``objects`` is not an object.
+    missing, or when it or a v2 or v3 report's ``objects`` is not an object.
     """
     if "records" not in report:
         raise ValueError("malformed report: no 'records'")
     records = report["records"]
     if not isinstance(records, dict):
         raise ValueError("report 'records' must be an object")
-    if report.get("format") == REPORT_FORMAT:
+    if report.get("format") in (REPORT_FORMAT, "exolink/report/v2"):
         objects = report.get("objects")
         if not isinstance(objects, dict):
             raise ValueError("report 'objects' must be an object")
@@ -296,7 +296,7 @@ def _record_reader(report: dict, store: ObjectStore | None = None):
 
 
 def report_records(report: dict) -> dict[str, dict]:
-    """Every record of a v1 or v2 report by name, in its `record_to_json` form.
+    """Every record of a v1, v2 or v3 report by name, in its `record_to_json` form.
 
     ``report render`` reads records through it; `verify_trace_report` and
     `validate_certificate_partition` read them one by one through the same
@@ -988,7 +988,8 @@ def verify_trace_report(report: dict, step: int | None = None) -> dict:
     from it, whichever of the two replays first.  The stored records are
     only ever compared with, never replayed from.
 
-    Reads v1 and v2 reports alike (see `report_records`).  Raises
+    Reads v1, v2 and v3 reports alike (see `report_records`), and checks a
+    pre-v3 record's ``rel_sw`` texts against the rebuilt sw.  Raises
     ValueError when ``records`` is missing or not an object, and, naming
     the record, when a record, its trace or a trace step is not the JSON
     shape a report writes, or a key names no object.  A record that
@@ -1013,6 +1014,11 @@ def verify_trace_report(report: dict, step: int | None = None) -> dict:
             rebuilt = build_from_trace(trace[:step], memo=memo)
             if step is None:
                 rebuilt_json = record_to_json(rebuilt)
+                if "rel_sw" in stored:
+                    rebuilt_json["rel_sw"] = {
+                        label: ring_to_text(rebuilt.rel_factor(label))
+                        for label in rebuilt_json.pop("rel_tori")
+                    }
                 entry["identical"] = same_json(rebuilt_json, stored)
                 if not entry["identical"]:
                     entry["differs"] = sorted(

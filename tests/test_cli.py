@@ -75,7 +75,7 @@ def test_recipe_run_with_out_file(tmp_path, even_spec_file, capsys):
     assert summary["verdict"] == "pass"
     assert summary["checks"]["failed"] == 0
     report = json.loads(out.read_text(encoding="utf-8"))
-    assert report["format"] == "exolink/report/v2"
+    assert report["format"] == "exolink/report/v3"
     assert report["verdict"] == "pass"
 
 
@@ -94,7 +94,7 @@ def test_recipe_run_prints_report_without_out(even_spec_file, capsys):
     )
     assert code == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["format"] == "exolink/report/v2"
+    assert report["format"] == "exolink/report/v3"
 
 
 def test_recipe_run_usage_errors(tmp_path, even_spec_file, capsys):
@@ -222,6 +222,27 @@ def test_verify_trace_catches_tampering(tmp_path, capsys):
     assert others and all(e["identical"] and "differs" not in e for e in others)
 
 
+@pytest.mark.parametrize("command", [["report", "render"], ["verify-trace"]])
+def test_closed_stdout_exits_1_without_traceback(tmp_path, command):
+    path = write_report(tmp_path)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "exolink.cli", *command, str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    # closed while the interpreter starts, so before the command prints
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
 def test_verify_trace_bad_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["verify-trace", str(missing)]) == 2
@@ -328,6 +349,25 @@ def test_report_render_reads_reports_with_pair_tables(tmp_path, capsys):
     # its records replay to the bytes pinned for the current README report
     assert main(["verify-trace", str(path)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_TRACE_SHA256
+
+
+def test_stored_pre_v3_relative_factor_is_still_checked(tmp_path, capsys):
+    # the pair-table report stores its relative factors as rel_sw texts: one
+    # set to sw, stored again under its new key, fails its record alone
+    report = json.loads(gzip.decompress(V2_PAIRS_FIXTURE.read_bytes()))
+    record = dict(report["objects"][report["records"]["Z[twist_1]"]])
+    record["rel_sw"] = {**record["rel_sw"], "T1": record["sw"]}
+    report["records"]["Z[twist_1]"] = ObjectStore(report["objects"]).put(record)
+    path = tmp_path / "pairs.json"
+    path.write_text(compact_json(report) + "\n", encoding="utf-8")
+    assert main(["verify-trace", str(path)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    failed = {
+        name: entry.get("differs")
+        for name, entry in payload["records"].items()
+        if not entry["identical"]
+    }
+    assert failed == {"Z[twist_1]": ["rel_sw"]}
 
 
 def test_report_render_malformed_report_exits_2(tmp_path, capsys):

@@ -130,12 +130,20 @@ def test_record_validation_rel_sw_consistency():
         )
 
     data = record_to_json(record(sw, "tracked", {"T"}))
-    assert data["rel_sw"] == {"T": to_text(sw * u_factor(2, (1, 0)))}
-    assert record_from_json(data).signature == 0
-    # a stored factor that is not sw * u(class) fails to load
-    data["rel_sw"]["T"] = to_text(sw)
+    assert data["rel_tori"] == ["T"]
+    assert record_from_json(data) == record(sw, "tracked", {"T"})
+    # a label that names no tracked torus fails to load
+    for label in ("L", "P", "X"):
+        with pytest.raises(ValueError, match="relative factor"):
+            record_from_json({**data, "rel_tori": [label]})
+    # a document written before report v3 stores the factors as rel_sw
+    # texts; one that is not sw * u(class) fails to load
+    old = {key: value for key, value in data.items() if key != "rel_tori"}
+    old["rel_sw"] = {"T": to_text(sw * u_factor(2, (1, 0)))}
+    assert record_from_json(old) == record_from_json(data)
+    old["rel_sw"]["T"] = to_text(sw)
     with pytest.raises(ValueError, match="relative factor"):
-        record_from_json(data)
+        record_from_json(old)
     # a factor on a loop or on a sphere with a class, and one without a tracked sw
     for label in ("L", "P"):
         with pytest.raises(ValueError, match="relative factor"):
@@ -163,6 +171,25 @@ def test_record_serialization_round_trip():
         assert record_from_json(data) == record
         # canonical form is stable under a JSON round trip
         assert canonical_json(json.loads(canonical_json(data))) == canonical_json(data)
+
+
+def test_record_to_json_derives_no_relative_factor(monkeypatch):
+    product = product_T2_Sigma_g(2)
+    # a forward-built Z[k], built before the patch: the fiber sum derives factors
+    z = fiber_sum(
+        knot_surgery(admissible_from_spec(spec_text("even")), "T1", twist_knot_family(2)[1]),
+        "T2",
+        kodaira_thurston_block(1),
+        "T",
+    )
+
+    def refuse(record, label):
+        raise AssertionError(f"record_to_json derived the factor of {label!r}")
+
+    monkeypatch.setattr(ManifoldRecord, "rel_factor", refuse)
+    for record in (product, z):
+        assert record.rel_tori
+        assert record_to_json(record)["rel_tori"] == sorted(record.rel_tori)
 
 
 json_values = st.recursive(

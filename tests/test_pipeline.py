@@ -37,7 +37,7 @@ def test_report_shape_and_determinism():
     first = run_recipe(cfg)
     second = run_recipe(make_config(3))
     assert canonical_json(first) == canonical_json(second)
-    assert first["format"] == "exolink/report/v2"
+    assert first["format"] == "exolink/report/v3"
     assert first["verdict"] == "pass"
     names = [k.name for k in cfg.knots]
     expected_records = {"M", "B_G", "ambient_reference"}

@@ -120,11 +120,9 @@ def test_tampered_record_fails_alone():
     edited = _edited({"Z[twist_1]": {"euler": records["Z[twist_1]"]["euler"] + 2}})
     assert _failing(verify_trace_report(edited)) == {"Z[twist_1]": ["euler"]}
 
-    # a stored relative factor, which the replay derives from sw
-    stored = records["Z[twist_1]"]
-    rel_sw = {**stored["rel_sw"], "T1": stored["sw"]}
-    edited = _edited({"Z[twist_1]": {"rel_sw": rel_sw}})
-    assert _failing(verify_trace_report(edited)) == {"Z[twist_1]": ["rel_sw"]}
+    # a stored label of a torus with a relative factor
+    edited = _edited({"Z[twist_1]": {"rel_tori": records["Z[twist_1]"]["rel_tori"][1:]}})
+    assert _failing(verify_trace_report(edited)) == {"Z[twist_1]": ["rel_tori"]}
 
     # the knot step of Z[twist_1]'s trace, made equal to twist_2's step: the
     # trie replays it as twist_2, and only Z[twist_1] is compared with that
@@ -142,7 +140,7 @@ def test_tampered_record_fails_alone():
     edited = _edited(traces)
     # (the stored traces hold the edit; the stored fields still name twist_1)
     assert _failing(verify_trace_report(edited)) == {
-        "Z[twist_1]": ["marks", "name", "rel_sw", "sw"],
+        "Z[twist_1]": ["marks", "name", "sw"],
         "Zstar[twist_1]": ["marks", "name"],
     }
 

@@ -19,7 +19,7 @@ import pytest
 from exolink import pipeline
 from exolink.cli import main
 from exolink.knots import twist_knot_family
-from exolink.manifold import ObjectStore, compact_json, same_json
+from exolink.manifold import ObjectStore, compact_json, record_from_json
 from exolink.pipeline import (
     RecipeConfig,
     report_records,
@@ -95,12 +95,12 @@ def test_v1_report_is_still_read(tmp_path, capsys):
     assert _sha256(capsys.readouterr().out.encode("utf-8")) == VERIFY_TRACE_STEP3_SHA256
     assert main(["report", "render", str(v1)]) == 0
     assert "recipe report (exolink/report/v1)" in capsys.readouterr().out
-    # the format bump moved no record's content
+    # the format bumps moved no record's content
     old = report_records(json.loads(data))
     fresh = report_records(json.loads(_readme_report(tmp_path).read_bytes()))
     assert list(old) == list(fresh)
     for name in fresh:
-        assert same_json(old[name], fresh[name]), name
+        assert record_from_json(old[name]) == record_from_json(fresh[name]), name
 
 
 def test_objects_are_content_addressed_and_traces_point_to_parents():

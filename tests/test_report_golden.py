@@ -15,11 +15,11 @@ from exolink.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-REPORT_SHA256 = "df47ccc64837282cd895fccc0cb2f50a9cda9acb546fbda57583059caa540ea8"
+REPORT_SHA256 = "7a700c5dc829168c213d36f41cde3d5a2d5f10c2493844a6d3700d84fc8cea62"
 VERIFY_TRACE_SHA256 = "156b9fd7389dfa11c1a37dac96a2a125192bdf8c177b84f83b3457f3f3986a38"
 VERIFY_TRACE_STEP3_SHA256 = "316c934a68bd929609a0211cea05bacb9af82ed1b587f55ddfe7118afc13b93b"
 # recipe run --spec fixtures/M_odd.json --group surface:1 --knots twist:0..3
-ODD_REPORT_SHA256 = "032e2e8592912d1e0acdcde039d2dc1d06f3172bb67c768713240c10495f105f"
+ODD_REPORT_SHA256 = "428657f7db187893cc09135522c9ddd23c38377150b4196107304f5c77133977"
 ODD_VERIFY_TRACE_SHA256 = "f971442a726289f4e29bad3422fbdf0284f08a54eb7f2914efbbdec3abb38a1f"
 
 
@@ -39,6 +39,9 @@ def test_readme_report_and_verify_trace_digests(tmp_path, capsys):
     report = _readme_report(tmp_path)
     capsys.readouterr()
     assert _sha256(report.read_bytes()) == REPORT_SHA256
+    # the size the README quotes for this report
+    size = len(report.read_bytes())
+    assert f"{size:,}" in (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     assert main(["verify-trace", str(report)]) == 0
     assert _sha256(capsys.readouterr().out.encode("utf-8")) == VERIFY_TRACE_SHA256
     # partial replay: Z[k] and Zstar[k] share their first three steps
