@@ -1,7 +1,8 @@
 """Recipe reports and their replays, pinned byte for byte by sha256.
 
-Two configurations are pinned: the README's (the even base under a free
-group block) and the odd base under the genus-1 product block.
+Three configurations are pinned: the README's (the even base under a free
+group block), the odd base under the genus-1 product block, and a run that
+fails its SW check because two knots share a braid.
 
 For a fixed configuration a report stays byte-identical unless the report
 format is bumped on purpose, so a change that moves a digest changes what
@@ -21,6 +22,10 @@ VERIFY_TRACE_STEP3_SHA256 = "316c934a68bd929609a0211cea05bacb9af82ed1b587f55ddfe
 # recipe run --spec fixtures/M_odd.json --group surface:1 --knots twist:0..3
 ODD_REPORT_SHA256 = "428657f7db187893cc09135522c9ddd23c38377150b4196107304f5c77133977"
 ODD_VERIFY_TRACE_SHA256 = "f971442a726289f4e29bad3422fbdf0284f08a54eb7f2914efbbdec3abb38a1f"
+# recipe run --spec fixtures/M_even.json --group free:1 --knots FAILING_KNOTS (exit 1)
+FAILING_KNOTS = "u=1:; k=2: s1^3; k2=2: s1^3"
+FAILING_REPORT_SHA256 = "53e70e8324a5da3db600395103078b987dd416403ca3f8f95fd5bd3937bddbf2"
+FAILING_VERIFY_TRACE_SHA256 = "81fecfcbb436c0904df1dd936cda737fd12c7557133662f0ef6362398d5f0801"
 
 
 def _sha256(data: bytes) -> str:
@@ -58,6 +63,18 @@ def test_odd_base_product_block_digests(tmp_path, capsys):
     assert _sha256(out.read_bytes()) == ODD_REPORT_SHA256
     assert main(["verify-trace", str(out)]) == 0
     assert _sha256(capsys.readouterr().out.encode("utf-8")) == ODD_VERIFY_TRACE_SHA256
+
+
+def test_failing_run_digests(tmp_path, capsys):
+    # a failed check still writes the whole report, and its records replay
+    out = tmp_path / "report.json"
+    spec = REPO_ROOT / "fixtures" / "M_even.json"
+    argv = ["recipe", "run", "--spec", str(spec), "--group", "free:1", "--knots", FAILING_KNOTS]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert "collision: k, k2" in capsys.readouterr().err
+    assert _sha256(out.read_bytes()) == FAILING_REPORT_SHA256
+    assert main(["verify-trace", str(out)]) == 0
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == FAILING_VERIFY_TRACE_SHA256
 
 
 def test_readme_report_ignores_the_environment(tmp_path, monkeypatch, capsys):
