@@ -478,8 +478,6 @@ def knot_from_spec(spec: str) -> tuple[KnotRecord, ...]:
         lo, hi = int(m.group(1)), int(m.group(2))
         if lo != 0:
             raise ValueError("twist ranges must start at 0")
-        if hi < lo:
-            raise ValueError("empty twist range")
         return twist_knot_family(hi + 1)
     m = re.fullmatch(r"twist:(\d+)", spec)
     if m:

@@ -8,7 +8,9 @@ certificate entry into COMPUTED (re-derivable arithmetic over records in
 the report, each with a replayable trace) and TRUSTED (a cited classical
 rule, fired only with machine-checked hypotheses that are themselves
 COMPUTED entries).  `validate_certificate_partition` enforces that split;
-it runs on every report before it leaves `run_recipe`.
+it runs on every report before it leaves `run_recipe`.  The entries and
+checks come from one ordered table of sections, `_SECTIONS`, each a function
+of the run's records alone; each TRUSTED entry is a row of `_TRUSTED`.
 
 Reports carry no timestamps and iterate in configuration order, so a
 fixed configuration yields byte-identical output.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .groupring import GroupRingElement, to_text as ring_to_text, unit_collisions
@@ -57,49 +60,73 @@ from .surgery import (
 
 REPORT_FORMAT = "exolink/report/v3"
 
-CITE_SW_DISTINGUISHES = (
-    "distinct Seiberg-Witten elements obstruct any smooth equivalence of the "
-    "2-links: diffeomorphism invariance of the basic classes up to sign and "
-    "conjugation (Witten; Taubes), knot-surgery product formula "
-    "(Fintushel-Stern)"
-)
-CITE_AMBIENT_DIFFEO = (
-    "invariant-level agreement upgrades to a diffeomorphism with the "
-    "stabilized model: dissolution of knot-surgered pieces after loop "
-    "surgeries (Akbulut; Auckly; Baykur) and stable classification of simply "
-    "connected 4-manifolds (Wall)"
-)
-CITE_TOP_ISOTOPY = (
-    "pairwise topological isotopy and componentwise topological unknotting "
-    "of the links: topological classification of simply connected "
-    "4-manifolds (Freedman), realization of form isomorphisms (Wall), "
-    "topological isotopy of homeomorphisms (Quinn; Perron)"
-)
-# the COMPUTED entries that the topological isotopy rule rests on
-_TOP_ISOTOPY_HYPOTHESES = (
-    "ambient_tuples_match",
-    "ambient_simply_connected",
-    "forms_indefinite",
-    "fixture_complement_flags",
-)
-CITE_SYMMETRY = (
-    "ambient symmetry permuting the framed loop set: mapping classes of the "
-    "base surface act by fiber-preserving diffeomorphisms of the block "
-    "(Thurston; Lickorish)"
-)
-CITE_TWO_FRAMINGS = (
-    "a framed loop in an orientable 4-manifold admits exactly two framings, "
-    "pi_1(SO(3)) = Z/2 (Wallace; Milnor)"
-)
-CITE_MG_RULE = (
-    "one stabilization turns the fiber sum into a connected sum with the "
-    "pushoff-surgered block (Mandelbaum; Gompf; Moishezon decomposition)"
-)
-CITE_BRUNNIAN = (
-    "sublinks of the stabilized families become smoothly equivalent, giving "
-    "the Brunnian-type conclusion (Mandelbaum-Gompf rewriting plus the "
-    "dissolution rule of Akbulut; Auckly; Baykur)"
-)
+# The TRUSTED entries of a report, one row each: id -> (claim, citation,
+# hypotheses, rules).  A TRUSTED entry fires a cited rule; its hypotheses name
+# COMPUTED entries and its rules name other TRUSTED entries.
+_TRUSTED = {
+    "smooth_inequivalence": (
+        "the 2-links are pairwise smoothly inequivalent",
+        "distinct Seiberg-Witten elements obstruct any smooth equivalence of the "
+        "2-links: diffeomorphism invariance of the basic classes up to sign and "
+        "conjugation (Witten; Taubes), knot-surgery product formula "
+        "(Fintushel-Stern)",
+        ("sw_pairwise_distinct",),
+        (),
+    ),
+    "ambient_diffeomorphism": (
+        "the stabilized records are diffeomorphic to the reference connected sum",
+        "invariant-level agreement upgrades to a diffeomorphism with the "
+        "stabilized model: dissolution of knot-surgered pieces after loop "
+        "surgeries (Akbulut; Auckly; Baykur) and stable classification of simply "
+        "connected 4-manifolds (Wall)",
+        ("ambient_tuples_match",),
+        (),
+    ),
+    "topological_isotopy": (
+        "the 2-links are pairwise topologically isotopic and componentwise "
+        "topologically unknotted",
+        "pairwise topological isotopy and componentwise topological unknotting "
+        "of the links: topological classification of simply connected "
+        "4-manifolds (Freedman), realization of form isomorphisms (Wall), "
+        "topological isotopy of homeomorphisms (Quinn; Perron)",
+        ("ambient_tuples_match", "ambient_simply_connected", "forms_indefinite",
+         "fixture_complement_flags"),
+        (),
+    ),
+    "symmetry": (
+        "each family member is a smoothly symmetric 2-link",
+        "ambient symmetry permuting the framed loop set: mapping classes of the "
+        "base surface act by fiber-preserving diffeomorphisms of the block "
+        "(Thurston; Lickorish)",
+        ("symmetry_relabeling",),
+        (),
+    ),
+    "mg_rewrite_rule": (
+        "with those hypotheses, one stabilization rewrites the fiber sum as "
+        "a connected sum with the pushoff-surgered block",
+        "one stabilization turns the fiber sum into a connected sum with the "
+        "pushoff-surgered block (Mandelbaum; Gompf; Moishezon decomposition)",
+        ("mg_hypotheses",),
+        (),
+    ),
+    "framing_two_per_loop": (
+        "each loop surgery has exactly two framings, so a pair of loop "
+        "surgeries produces at most four diffeomorphism types",
+        "a framed loop in an orientable 4-manifold admits exactly two framings, "
+        "pi_1(SO(3)) = Z/2 (Wallace; Milnor)",
+        (),
+        (),
+    ),
+    "brunnian": (
+        "a subfamily of the stated size is pairwise Brunnianly exotic",
+        "sublinks of the stabilized families become smoothly equivalent, giving "
+        "the Brunnian-type conclusion (Mandelbaum-Gompf rewriting plus the "
+        "dissolution rule of Akbulut; Auckly; Baykur)",
+        ("stabilization_dissolve", "mg_hypotheses", "brunnian_pigeonhole",
+         "symmetry_relabeling", "sw_pairwise_distinct"),
+        ("mg_rewrite_rule", "framing_two_per_loop", "smooth_inequivalence"),
+    ),
+}
 
 
 class ConfigError(ValueError):
@@ -180,70 +207,6 @@ def parse_knots_arg(text: str) -> tuple[KnotRecord, ...]:
         raise ConfigError(str(exc)) from exc
 
 
-# -- report assembly helpers ------------------------------------------------------
-
-
-class _Report:
-    """Accumulates records, partition entries, and check outcomes."""
-
-    def __init__(self, cfg: RecipeConfig, spec_data: dict):
-        self.cfg = cfg
-        self.store = ObjectStore()
-        self.data: dict = {
-            "format": REPORT_FORMAT,
-            "config": {
-                "admissible_spec": self.store.put(spec_data),
-                "group": f"{cfg.group_kind}:{cfg.genus}",
-                "knots": [
-                    {"name": k.name, "braid": braid_to_text(k.braid)}
-                    for k in cfg.knots
-                ],
-            },
-            "records": {},
-            "objects": self.store.objects,
-            "certificates": {},
-            "entries": [],
-            "checks": [],
-        }
-
-    def add_record(self, name: str, record: ManifoldRecord) -> None:
-        self.data["records"][name] = self.store.put_record(record)
-
-    def add_entry(
-        self,
-        entry_id: str,
-        status: str,
-        claim: str,
-        *,
-        citation: str | None = None,
-        hypotheses: tuple[str, ...] = (),
-        rules: tuple[str, ...] = (),
-        depends: tuple[str, ...] = (),
-        records: tuple[str, ...] = (),
-        data: dict | None = None,
-    ) -> None:
-        entry = {
-            "id": entry_id,
-            "status": status,
-            "claim": claim,
-            "depends": list(depends),
-            "records": list(records),
-        }
-        if status == "TRUSTED":
-            entry["citation"] = citation
-            entry["hypotheses"] = list(hypotheses)
-            entry["rules"] = list(rules)
-        if data is not None:
-            entry["data"] = data
-        self.data["entries"].append(entry)
-
-    def check(self, check_id: str, description: str, passed: bool) -> bool:
-        self.data["checks"].append(
-            {"id": check_id, "description": description, "pass": passed}
-        )
-        return passed
-
-
 # -- report reading ---------------------------------------------------------------
 
 
@@ -260,14 +223,19 @@ def _record_reader(report: dict, store: ObjectStore | None = None):
     its trace is not a list of objects, or it does not resolve: a key names
     no object, or an object does not hash to its key (ObjectMismatch,
     naming that key).  Raises ValueError at once when ``records`` is
-    missing, or when it or a v2 or v3 report's ``objects`` is not an object.
+    missing, when it or a v2 or v3 report's ``objects`` is not an object, or
+    when ``format`` names no v1, v2 or v3 report; a report without a
+    ``format`` is read as v1.
     """
     if "records" not in report:
         raise ValueError("malformed report: no 'records'")
     records = report["records"]
     if not isinstance(records, dict):
         raise ValueError("report 'records' must be an object")
-    if report.get("format") in (REPORT_FORMAT, "exolink/report/v2"):
+    fmt = report.get("format", "exolink/report/v1")
+    if fmt not in ("exolink/report/v1", "exolink/report/v2", REPORT_FORMAT):
+        raise ValueError(f"unknown report format {fmt!r}")
+    if fmt != "exolink/report/v1":
         objects = report.get("objects")
         if not isinstance(objects, dict):
             raise ValueError("report 'objects' must be an object")
@@ -397,6 +365,28 @@ def _loop_labels(cfg: RecipeConfig) -> tuple[str, ...]:
     return a + b
 
 
+def _recipe_records(cfg: RecipeConfig) -> dict[str, ManifoldRecord]:
+    """Every record of a run by its report name, in the order the report
+    stores them: ``M``, ``B_G``, ``Z[k]`` and ``Zstar[k]`` for each knot k,
+    then ``ambient_reference``.  The order is output: a trace object's
+    ``parent`` is the longest proper prefix stored before it."""
+    base = admissible_from_spec(cfg.spec_text)
+    roles = json.loads(cfg.spec_text)["admissible"]
+    block = _group_block(cfg)
+    records = {"M": base, "B_G": block}
+    for knot in cfg.knots:
+        z = fiber_sum(knot_surgery(base, roles["T1"], knot), roles["T2"], block, "T")
+        records[f"Z[{knot.name}]"] = z
+        for label in _loop_labels(cfg):
+            z = loop_surgery(z, label)
+        records[f"Zstar[{knot.name}]"] = z
+    ambient = base
+    for _ in range(cfg.loop_count):
+        ambient = connected_sum(ambient, standard_block("S2xS2"))
+    records["ambient_reference"] = ambient
+    return records
+
+
 def run_recipe(cfg: RecipeConfig) -> dict:
     """Execute the construction over the knot family and certify the claims.
 
@@ -405,76 +395,105 @@ def run_recipe(cfg: RecipeConfig) -> dict:
     clause and, for the SW check, each group of colliding knots.
     """
     spec_data = json.loads(cfg.spec_text)
-    base = admissible_from_spec(cfg.spec_text)
-    roles = spec_data["admissible"]
-    t1_label, t2_label = roles["T1"], roles["T2"]
-    block = _group_block(cfg)
-    loops = _loop_labels(cfg)
+    records = _recipe_records(cfg)
+    store = ObjectStore()
+    report: dict = {
+        "format": REPORT_FORMAT,
+        "config": {
+            "admissible_spec": store.put(spec_data),
+            "group": f"{cfg.group_kind}:{cfg.genus}",
+            "knots": [{"name": k.name, "braid": braid_to_text(k.braid)} for k in cfg.knots],
+        },
+        "records": {name: store.put_record(record) for name, record in records.items()},
+        "objects": store.objects,
+        "link_components": {
+            k.name: [f"belt[{label}]" for label in _loop_labels(cfg)] for k in cfg.knots
+        },
+        "certificates": {},
+        "entries": [],
+        "checks": [],
+    }
     # one replay trie for this run: sphere surgery and dissolution replay
     # their shared trace prefixes once (see `build_from_trace`)
-    memo = ReplayTrie()
-    rep = _Report(cfg, spec_data)
-    rep.add_record("M", base)
-    rep.add_record("B_G", block)
-    rep.add_entry(
-        "admissible_base",
-        "COMPUTED",
-        "the base record satisfies every admissibility clause",
-        records=("M",),
-        data=invariant_tuple(base),
-    )
+    run = _Run(cfg, records, lambda name: store.record(report["records"][name]), ReplayTrie())
+    for section in _SECTIONS:
+        certificates, entries, checks = section(run)
+        report["certificates"].update(certificates)
+        report["entries"] += entries
+        report["checks"] += checks
 
-    z_records: dict[str, ManifoldRecord] = {}
-    zstar_records: dict[str, ManifoldRecord] = {}
-    links: dict[str, tuple[str, ...]] = {}
-    for knot in cfg.knots:
-        surgered = knot_surgery(base, t1_label, knot)
-        z = fiber_sum(surgered, t2_label, block, "T")
-        zs = z
-        for label in loops:
-            zs = loop_surgery(zs, label)
-        z_records[knot.name] = z
-        zstar_records[knot.name] = zs
-        links[knot.name] = tuple(f"belt[{label}]" for label in loops)
-        rep.add_record(f"Z[{knot.name}]", z)
-        rep.add_record(f"Zstar[{knot.name}]", zs)
-    rep.data["link_components"] = {k: list(v) for k, v in links.items()}
-
-    _certify_link_group(rep, cfg, z_records)
-    _certify_smooth_inequivalence(rep, z_records)
-    ambient = _certify_ambient(rep, cfg, base, zstar_records)
-    _certify_topological_isotopy(rep, base, zstar_records)
-    _certify_surgery_consistency(rep, cfg, z_records, zstar_records, links, memo)
-    rep.data["certificates"]["symmetry"] = _symmetry_section(rep, cfg, block, zstar_records, loops)
-    rep.data["certificates"]["brunnian"] = brunnian_certificate_section(
-        rep, cfg, base, t2_label, z_records, memo
-    )
-
-    partition = validate_certificate_partition(rep.data, rep.store)
-    rep.check(
-        "partition",
-        "certificate partition validates (computed never rests on a citation)",
-        not partition,
-    )
+    partition = validate_certificate_partition(report, store)
+    description = "certificate partition validates (computed never rests on a citation)"
+    report["checks"].append(_check("partition", description, not partition))
     if partition:
-        rep.data["certificates"]["partition_violations"] = partition
+        report["certificates"]["partition_violations"] = partition
 
-    failed = [c for c in rep.data["checks"] if not c["pass"]]
-    rep.data["verdict"] = "pass" if not failed else "fail"
+    failed = [c for c in report["checks"] if not c["pass"]]
+    report["verdict"] = "pass" if not failed else "fail"
     if failed:
-        raise CertificateError(
-            "; ".join(c["description"] for c in failed), rep.data
-        )
-    return rep.data
+        raise CertificateError("; ".join(c["description"] for c in failed), report)
+    return report
 
 
-def _certify_link_group(rep: _Report, cfg: RecipeConfig, z_records) -> None:
+# -- the certificate sections ---------------------------------------------------------
+#
+# Each section is a function of one `_Run` alone and returns
+# ``(certificates, entries, checks)``: the report's ``certificates`` keys it
+# sets, and its entries and checks in report order.  It writes nothing, so
+# folding `_SECTIONS` over records read back from a report gives the report's
+# sections again.
+
+
+@dataclass(frozen=True)
+class _Run:
+    """What the sections read: the config, the records by report name,
+    ``stored(name)`` (a record as the report stores it, in its
+    `record_to_json` form) and the run's replay trie."""
+
+    cfg: RecipeConfig
+    records: dict[str, ManifoldRecord]
+    stored: Callable[[str], dict]
+    memo: ReplayTrie
+
+    def family(self, kind: str) -> dict[str, ManifoldRecord]:
+        """The record ``kind[k]`` of each knot k, by knot name, in family order."""
+        return {k.name: self.records[f"{kind}[{k.name}]"] for k in self.cfg.knots}
+
+
+def _computed(entry_id: str, claim: str, records=(), data=None) -> dict:
+    entry = dict(id=entry_id, status="COMPUTED", claim=claim, depends=[], records=list(records))
+    return entry if data is None else {**entry, "data": data}
+
+
+def _trusted(entry_id: str) -> dict:
+    """The entry of the `_TRUSTED` row ``entry_id``."""
+    claim, citation, hypotheses, rules = _TRUSTED[entry_id]
+    entry = dict(id=entry_id, status="TRUSTED", claim=claim, depends=[], records=[])
+    return {**entry, "citation": citation, "hypotheses": list(hypotheses), "rules": list(rules)}
+
+
+def _check(check_id: str, description: str, passed: bool) -> dict:
+    return {"id": check_id, "description": description, "pass": passed}
+
+
+def _admissible_base(run: _Run):
+    entry = _computed(
+        "admissible_base",
+        "the base record satisfies every admissibility clause",
+        ("M",),
+        invariant_tuple(run.records["M"]),
+    )
+    return {}, [entry], []
+
+
+def _link_group(run: _Run):
+    cfg = run.cfg
     if cfg.group_kind == "free":
         expected = f"free group of rank {cfg.genus}"
     else:
         expected = f"genus-{cfg.genus} surface group"
-    per_knot = {}
-    for name, z in z_records.items():
+    per_knot, checks = {}, []
+    for name, z in run.family("Z").items():
         if cfg.group_kind == "free":
             rank = recognize_free(z.pi1)
             ok = rank == cfg.genus
@@ -482,57 +501,43 @@ def _certify_link_group(rep: _Report, cfg: RecipeConfig, z_records) -> None:
         else:
             ok = recognize_surface(z.pi1, cfg.genus)
             per_knot[name] = {"recognized": ok}
-        rep.check(
-            f"link_group/{name}",
-            f"2-link group of {name} recognized as the {expected}",
-            ok,
+        checks.append(
+            _check(f"link_group/{name}", f"2-link group of {name} recognized as the {expected}", ok)
         )
-    rep.data["certificates"]["link_group"] = {
-        "expected": expected,
-        "per_knot": per_knot,
-    }
-    rep.add_entry(
+    entry = _computed(
         "link_group",
-        "COMPUTED",
         f"every family member's 2-link group is recognized as the {expected}",
-        records=tuple(f"Z[{n}]" for n in z_records),
-        data={"expected": expected},
+        tuple(f"Z[{n}]" for n in per_knot),
+        {"expected": expected},
     )
+    return {"link_group": {"expected": expected, "per_knot": per_knot}}, [entry], checks
 
 
-def _certify_smooth_inequivalence(rep: _Report, z_records) -> None:
+def _smooth_inequivalence(run: _Run):
+    z_records = run.family("Z")
     collisions = unit_collisions({n: z.sw for n, z in z_records.items()})
-    rep.data["certificates"]["smooth_inequivalence"] = {"collisions": collisions}
-    rep.check(
+    check = _check(
         "sw_pairwise_distinct",
         "sw elements differ pairwise up to units"
         + "".join(f"; collision: {', '.join(group)}" for group in collisions),
         not collisions,
     )
-    rep.add_entry(
-        "sw_pairwise_distinct",
-        "COMPUTED",
-        "the tracked sw elements are pairwise distinct up to units",
-        records=tuple(f"Z[{n}]" for n in z_records),
-    )
-    rep.add_entry(
-        "smooth_inequivalence",
-        "TRUSTED",
-        "the 2-links are pairwise smoothly inequivalent",
-        citation=CITE_SW_DISTINGUISHES,
-        hypotheses=("sw_pairwise_distinct",),
-    )
+    entries = [
+        _computed(
+            "sw_pairwise_distinct",
+            "the tracked sw elements are pairwise distinct up to units",
+            tuple(f"Z[{n}]" for n in z_records),
+        ),
+        _trusted("smooth_inequivalence"),
+    ]
+    return {"smooth_inequivalence": {"collisions": collisions}}, entries, [check]
 
 
-def _certify_ambient(rep: _Report, cfg: RecipeConfig, base, zstar_records) -> ManifoldRecord:
-    ambient = base
-    for _ in range(cfg.loop_count):
-        ambient = connected_sum(ambient, standard_block("S2xS2"))
-    rep.add_record("ambient_reference", ambient)
+def _ambient(run: _Run):
+    ambient = run.records["ambient_reference"]
     target = invariant_tuple(ambient)
-    per_knot = {}
-    all_ok = True
-    for name, zs in zstar_records.items():
+    per_knot, checks = {}, []
+    for name, zs in run.family("Zstar").items():
         tup = invariant_tuple(zs)
         same_tuple = tup == target
         form_iso = indefinite_unimodular_iso(zs.form, ambient.form)
@@ -541,126 +546,115 @@ def _certify_ambient(rep: _Report, cfg: RecipeConfig, base, zstar_records) -> Ma
             "matches_reference": same_tuple,
             "form_isomorphic": form_iso,
         }
-        ok = same_tuple and form_iso
-        all_ok = all_ok and ok
-        rep.check(
-            f"ambient/{name}",
-            f"Zstar[{name}] matches the stabilized reference at invariant level",
-            ok,
+        checks.append(
+            _check(
+                f"ambient/{name}",
+                f"Zstar[{name}] matches the stabilized reference at invariant level",
+                same_tuple and form_iso,
+            )
         )
-    rep.data["certificates"]["ambient"] = {
+    certificate = {
         "reference": target,
-        "stabilizations": cfg.loop_count,
+        "stabilizations": run.cfg.loop_count,
         "per_knot": per_knot,
     }
-    rep.add_entry(
-        "ambient_tuples_match",
-        "COMPUTED",
-        "every stabilized record matches the reference connected sum: equal "
-        "invariant tuples and isomorphic indefinite unimodular forms",
-        records=tuple(f"Zstar[{n}]" for n in zstar_records) + ("ambient_reference",),
-        data={"reference": target},
-    )
-    rep.add_entry(
-        "ambient_diffeomorphism",
-        "TRUSTED",
-        "the stabilized records are diffeomorphic to the reference connected sum",
-        citation=CITE_AMBIENT_DIFFEO,
-        hypotheses=("ambient_tuples_match",),
-    )
-    return ambient
+    entries = [
+        _computed(
+            "ambient_tuples_match",
+            "every stabilized record matches the reference connected sum: equal "
+            "invariant tuples and isomorphic indefinite unimodular forms",
+            tuple(f"Zstar[{n}]" for n in per_knot) + ("ambient_reference",),
+            {"reference": target},
+        ),
+        _trusted("ambient_diffeomorphism"),
+    ]
+    return {"ambient": certificate}, entries, checks
 
 
-def _certify_topological_isotopy(rep: _Report, base, zstar_records) -> None:
-    trivial = {
-        name: simplifies_trivial(zs.pi1)
-        for name, zs in zstar_records.items()
-    }
-    rep.check(
-        "ambient_simply_connected",
-        "every stabilized record's group simplifies to the trivial presentation",
-        all(trivial.values()),
-    )
-    rep.add_entry(
-        "ambient_simply_connected",
-        "COMPUTED",
-        "every stabilized record is certified simply connected",
-        records=tuple(f"Zstar[{n}]" for n in zstar_records),
-        data=trivial,
-    )
-    indefinite = {
-        name: invariants(zs.form).indefinite for name, zs in zstar_records.items()
-    }
-    rep.check(
-        "forms_indefinite",
-        "every stabilized intersection form is indefinite",
-        all(indefinite.values()),
-    )
-    rep.add_entry(
-        "forms_indefinite",
-        "COMPUTED",
-        "every stabilized intersection form is indefinite, so form "
-        "isomorphisms are realizable",
-        records=tuple(f"Zstar[{n}]" for n in zstar_records),
-        data=indefinite,
-    )
+def _topological_isotopy(run: _Run):
+    zstar_records = run.family("Zstar")
+    zstar_names = tuple(f"Zstar[{n}]" for n in zstar_records)
+    base = run.records["M"]
+    trivial = {name: simplifies_trivial(zs.pi1) for name, zs in zstar_records.items()}
+    indefinite = {name: invariants(zs.form).indefinite for name, zs in zstar_records.items()}
     flags_ok = all(
         "complement_simply_connected" in base.mark(label).flags
         for label in (m.label for m in base.marks if m.kind == "torus")
     )
-    rep.check(
-        "fixture_complement_flags",
-        "both base tori carry the simply-connected-complement flag",
-        flags_ok,
-    )
-    rep.add_entry(
-        "fixture_complement_flags",
-        "COMPUTED",
-        "the base record's marked tori carry simply connected complements",
-        records=("M",),
-        data={"ok": flags_ok},
-    )
-    rep.add_entry(
-        "topological_isotopy",
-        "TRUSTED",
-        "the 2-links are pairwise topologically isotopic and componentwise "
-        "topologically unknotted",
-        citation=CITE_TOP_ISOTOPY,
-        hypotheses=_TOP_ISOTOPY_HYPOTHESES,
-    )
-    rep.data["certificates"]["topological_isotopy"] = {
-        "citation": CITE_TOP_ISOTOPY,
-        "computed_prerequisites": list(_TOP_ISOTOPY_HYPOTHESES),
-    }
+    checks = [
+        _check(
+            "ambient_simply_connected",
+            "every stabilized record's group simplifies to the trivial presentation",
+            all(trivial.values()),
+        ),
+        _check(
+            "forms_indefinite",
+            "every stabilized intersection form is indefinite",
+            all(indefinite.values()),
+        ),
+        _check(
+            "fixture_complement_flags",
+            "both base tori carry the simply-connected-complement flag",
+            flags_ok,
+        ),
+    ]
+    rule = _trusted("topological_isotopy")
+    entries = [
+        _computed(
+            "ambient_simply_connected",
+            "every stabilized record is certified simply connected",
+            zstar_names,
+            trivial,
+        ),
+        _computed(
+            "forms_indefinite",
+            "every stabilized intersection form is indefinite, so form "
+            "isomorphisms are realizable",
+            zstar_names,
+            indefinite,
+        ),
+        _computed(
+            "fixture_complement_flags",
+            "the base record's marked tori carry simply connected complements",
+            ("M",),
+            {"ok": flags_ok},
+        ),
+        rule,
+    ]
+    certificate = {"citation": rule["citation"], "computed_prerequisites": rule["hypotheses"]}
+    return {"topological_isotopy": certificate}, entries, checks
 
 
-def _certify_surgery_consistency(rep, cfg, z_records, zstar_records, links, memo) -> None:
-    per_knot = {}
-    for name, zs in zstar_records.items():
-        current = sphere_surgery(zs, *links[name], memo=memo)
+def _surgery_consistency(run: _Run):
+    belts = [f"belt[{label}]" for label in _loop_labels(run.cfg)]
+    per_knot, checks = {}, []
+    for name, zs in run.family("Zstar").items():
+        current = sphere_surgery(zs, *belts, memo=run.memo)
         # Z[k] as the report stores it, read back rather than rendered again
-        stored = rep.store.record(rep.data["records"][f"Z[{name}]"])
-        same = same_json(record_to_json(current), stored)
+        same = same_json(record_to_json(current), run.stored(f"Z[{name}]"))
         per_knot[name] = same
-        rep.check(
-            f"surgery_consistency/{name}",
-            f"surgering all of {name}'s link components reproduces Z[{name}] "
-            "field for field",
-            same,
+        checks.append(
+            _check(
+                f"surgery_consistency/{name}",
+                f"surgering all of {name}'s link components reproduces Z[{name}] "
+                "field for field",
+                same,
+            )
         )
-    rep.data["certificates"]["surgery_consistency"] = {"per_knot": per_knot}
-    rep.add_entry(
+    entry = _computed(
         "surgery_consistency",
-        "COMPUTED",
         "reversing every component's loop surgery reproduces the ancestor "
         "record byte for byte",
-        records=tuple(f"Z[{n}]" for n in z_records)
-        + tuple(f"Zstar[{n}]" for n in zstar_records),
-        data={"per_knot": per_knot},
+        tuple(f"Z[{n}]" for n in per_knot) + tuple(f"Zstar[{n}]" for n in per_knot),
+        {"per_knot": per_knot},
     )
+    return {"surgery_consistency": {"per_knot": per_knot}}, [entry], checks
 
 
-def _symmetry_section(rep, cfg: RecipeConfig, block, zstar_records, loops) -> dict:
+def _symmetry(run: _Run):
+    block = run.records["B_G"]
+    loops = _loop_labels(run.cfg)
+    zstar_records = run.family("Zstar")
     framings = [block.mark(label).framing for label in loops]
     words = [block.mark(label).pi1_words for label in loops]
     single_generators = all(
@@ -676,147 +670,115 @@ def _symmetry_section(rep, cfg: RecipeConfig, block, zstar_records, loops) -> di
         }
         belts_uniform = belts_uniform and len(shapes) == 1
     interchangeable = single_generators and distinct and same_framing and belts_uniform
-    rep.check(
+    check = _check(
         "symmetry_relabeling",
         "the marked loops are interchangeable by relabeling the block's "
         "generators",
         interchangeable,
     )
-    rep.add_entry(
-        "symmetry_relabeling",
-        "COMPUTED",
-        "the block's loop marks share one framing tag and are distinct "
-        "single generators, and all belt components are congruent",
-        records=("B_G",) + tuple(f"Zstar[{n}]" for n in zstar_records),
-        data={
-            "framings": framings,
-            "words": [list(w) for w in words],
-            "belts_uniform": belts_uniform,
-        },
-    )
-    rep.add_entry(
-        "symmetry",
-        "TRUSTED",
-        "each family member is a smoothly symmetric 2-link",
-        citation=CITE_SYMMETRY,
-        hypotheses=("symmetry_relabeling",),
-    )
-    return {
-        "interchangeable_by_relabeling": interchangeable,
-        "citation": CITE_SYMMETRY,
-    }
+    rule = _trusted("symmetry")
+    entries = [
+        _computed(
+            "symmetry_relabeling",
+            "the block's loop marks share one framing tag and are distinct "
+            "single generators, and all belt components are congruent",
+            ("B_G",) + tuple(f"Zstar[{n}]" for n in zstar_records),
+            {
+                "framings": framings,
+                "words": [list(w) for w in words],
+                "belts_uniform": belts_uniform,
+            },
+        ),
+        rule,
+    ]
+    certificate = {"interchangeable_by_relabeling": interchangeable, "citation": rule["citation"]}
+    return {"symmetry": certificate}, entries, [check]
 
 
-def brunnian_certificate_section(
-    rep, cfg: RecipeConfig, base, t2_label, z_records, memo: ReplayTrie
-) -> dict:
-    """Assemble the Brunnian-type section of the report.
+def _brunnian(run: _Run):
+    """The Brunnian-type section.
 
     For a surface group configuration the strong conclusion is not
     available and the section says so; for a free configuration it
     records the stabilization byte-identity, the rewrite-rule hypothesis
-    branch, and the explicit pigeonhole over framing buckets.  ``memo`` is
-    the replay trie of `build_from_trace` that the dissolutions share.
+    branch, and the explicit pigeonhole over framing buckets.
     """
+    cfg = run.cfg
     if cfg.group_kind != "free":
         note = (
             "surface-group configuration: disregarding a pair of components "
             "yields smoothly equivalent sublinks, the weaker paired-component "
             "property only"
         )
-        rep.add_entry(
+        entry = _computed(
             "brunnian_scope",
-            "COMPUTED",
             "the Brunnian-type conclusion is restricted to free-group "
             "configurations; this run is a surface configuration",
             data={"group": f"{cfg.group_kind}:{cfg.genus}"},
         )
-        return {"status": "weaker paired-component property only", "note": note}
+        certificate = {"status": "weaker paired-component property only", "note": note}
+        return {"brunnian": certificate}, [entry], []
 
     # stabilization clause: after one connected sum with S2xS2 the knot
     # surgery dissolves, and the result is one record independent of the knot
+    z_records = run.family("Z")
     cores = []
     for z in z_records.values():
         stabilized = connected_sum(z, standard_block("S2xS2"))
-        dissolved = dissolve_knot_surgery_after_stabilization(stabilized, memo)
+        dissolved = dissolve_knot_surgery_after_stabilization(stabilized, run.memo)
         cores.append({k: v for k, v in record_to_json(dissolved).items() if k != "trace"})
-    names = list(z_records)
     identical = bool(cores) and all(same_json(cores[0], core) for core in cores[1:])
-    rep.check(
-        "brunnian_stabilization",
-        "one stabilization dissolves the knot surgery to a single record "
-        "shared by every family member",
-        identical,
-    )
-    rep.add_entry(
-        "stabilization_dissolve",
-        "COMPUTED",
-        "connected sum with one S2xS2 followed by the dissolution rewrite "
-        "yields byte-identical records (traces aside) for every knot",
-        records=tuple(f"Z[{n}]" for n in names),
-        data={"identical": identical},
-    )
 
+    t2_label = json.loads(cfg.spec_text)["admissible"]["T2"]
     try:
-        branch, detail = mandelbaum_gompf_hypotheses(base, t2_label)
+        branch, detail = mandelbaum_gompf_hypotheses(run.records["M"], t2_label)
         mg = {"certified": True, "branch": branch, "detail": detail}
     except SurgeryError as exc:
         mg = {"certified": False, "blocked_by": str(exc)}
-    rep.check(
-        "brunnian_mg_hypotheses",
-        "the fiber-sum-to-connected-sum rewrite hypotheses are certified on "
-        "the base record",
-        mg["certified"],
-    )
-    rep.add_entry(
-        "mg_hypotheses",
-        "COMPUTED",
-        "the base record satisfies the rewrite rule's hypotheses "
-        f"({mg.get('branch', 'uncertified')} branch)",
-        records=("M",),
-        data=mg,
-    )
-    rep.add_entry(
-        "mg_rewrite_rule",
-        "TRUSTED",
-        "with those hypotheses, one stabilization rewrites the fiber sum as "
-        "a connected sum with the pushoff-surgered block",
-        citation=CITE_MG_RULE,
-        hypotheses=("mg_hypotheses",),
-    )
-    rep.add_entry(
-        "framing_two_per_loop",
-        "TRUSTED",
-        "each loop surgery has exactly two framings, so a pair of loop "
-        "surgeries produces at most four diffeomorphism types",
-        citation=CITE_TWO_FRAMINGS,
-    )
+    checks = [
+        _check(
+            "brunnian_stabilization",
+            "one stabilization dissolves the knot surgery to a single record "
+            "shared by every family member",
+            identical,
+        ),
+        _check(
+            "brunnian_mg_hypotheses",
+            "the fiber-sum-to-connected-sum rewrite hypotheses are certified on "
+            "the base record",
+            mg["certified"],
+        ),
+    ]
 
     knot_count = len(cfg.knots)
     buckets = 4
     bound = math.ceil(knot_count / buckets)
-    rep.add_entry(
-        "brunnian_pigeonhole",
-        "COMPUTED",
-        f"pigeonhole over at most {buckets} framing buckets keeps a "
-        f"subfamily of at least {bound} of the {knot_count} knots",
-        data={"knots": knot_count, "buckets": buckets, "bound": bound},
-    )
-    rep.add_entry(
-        "brunnian",
-        "TRUSTED",
-        "a subfamily of the stated size is pairwise Brunnianly exotic",
-        citation=CITE_BRUNNIAN,
-        hypotheses=(
+    entries = [
+        _computed(
             "stabilization_dissolve",
-            "mg_hypotheses",
-            "brunnian_pigeonhole",
-            "symmetry_relabeling",
-            "sw_pairwise_distinct",
+            "connected sum with one S2xS2 followed by the dissolution rewrite "
+            "yields byte-identical records (traces aside) for every knot",
+            tuple(f"Z[{n}]" for n in z_records),
+            {"identical": identical},
         ),
-        rules=("mg_rewrite_rule", "framing_two_per_loop", "smooth_inequivalence"),
-    )
-    return {
+        _computed(
+            "mg_hypotheses",
+            "the base record satisfies the rewrite rule's hypotheses "
+            f"({mg.get('branch', 'uncertified')} branch)",
+            ("M",),
+            mg,
+        ),
+        _trusted("mg_rewrite_rule"),
+        _trusted("framing_two_per_loop"),
+        _computed(
+            "brunnian_pigeonhole",
+            f"pigeonhole over at most {buckets} framing buckets keeps a "
+            f"subfamily of at least {bound} of the {knot_count} knots",
+            data={"knots": knot_count, "buckets": buckets, "bound": bound},
+        ),
+        _trusted("brunnian"),
+    ]
+    certificate = {
         "stabilization_identical": identical,
         "mg_hypotheses": mg,
         "framing_buckets": buckets,
@@ -828,6 +790,20 @@ def brunnian_certificate_section(
             "sharper framing tracking could raise it to the full family"
         ),
     }
+    return {"brunnian": certificate}, entries, checks
+
+
+# the sections in report order
+_SECTIONS = (
+    _admissible_base,
+    _link_group,
+    _smooth_inequivalence,
+    _ambient,
+    _topological_isotopy,
+    _surgery_consistency,
+    _symmetry,
+    _brunnian,
+)
 
 
 # -- block lemma suite --------------------------------------------------------------

@@ -131,6 +131,17 @@ def test_recipe_run_usage_errors(tmp_path, even_spec_file, capsys):
         assert "--budget-tietze" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("knots", ["twist:3..5", "twist:0..11", "twist:11"])
+def test_twist_spec_out_of_range_exits_2(even_spec_file, capsys, knots):
+    # a range must start at the unknot, and the twist table ends at twist_10
+    argv = ["recipe", "run", "--spec", str(even_spec_file), "--group", "free:1"]
+    assert main([*argv, "--knots", knots]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_surface_genus_five_runs_to_pass(even_spec_file, capsys):
     # the surface recognizer has no genus bound, so surface:5 is certified
     argv = ["recipe", "run", "--spec", str(even_spec_file), "--knots", "twist:0..3"]
@@ -400,6 +411,21 @@ def test_a_file_without_records_is_not_a_report(tmp_path, capsys, command):
         assert captured.out == ""
         assert captured.err.startswith("error:") and "records" in captured.err
         assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["exolink/report/v9", 3])
+@pytest.mark.parametrize("command", [["verify-trace"], ["report", "render"]])
+def test_unknown_report_format_is_named(tmp_path, capsys, command, fmt):
+    # a report of another format is not read as v1: the error names the format
+    path = write_report(tmp_path)
+    report = json.loads(path.read_text(encoding="utf-8"))
+    report["format"] = fmt
+    path.write_text(json.dumps(report), encoding="utf-8")
+    assert main([*command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown report format") and repr(fmt) in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
 """Recipe runs, certificate partition, lemma suite, and trace replay."""
 
 import copy
+import json
 
 import pytest
 
+from exolink import pipeline
 from exolink.grouppres import pi1_Ng
 from exolink.knots import TWIST_BRAIDS, KnotRecord, twist_knot_family
 from exolink.pipeline import (
@@ -18,7 +20,8 @@ from exolink.pipeline import (
     verify_lemma_suite,
     verify_trace_report,
 )
-from exolink.manifold import ObjectStore, canonical_json
+from exolink.manifold import ObjectStore, canonical_json, compact_json, record_from_json
+from exolink.surgery import ReplayTrie
 from specs import spec_text
 
 
@@ -288,3 +291,66 @@ def test_parse_group_and_knot_args():
         parse_knots_arg("u=1:; oops")
     with pytest.raises(ConfigError):
         parse_knots_arg("twist:3..1")
+
+
+def _readback_config(report) -> RecipeConfig:
+    """The config of a report, taken from the report alone."""
+    config = report["config"]
+    kind, genus = parse_group_arg(config["group"])
+    return RecipeConfig(
+        spec_text=json.dumps(report["objects"][config["admissible_spec"]]),
+        group_kind=kind,
+        genus=genus,
+        knots=tuple(KnotRecord.from_braid(k["name"], k["braid"]) for k in config["knots"]),
+    )
+
+
+def _failing_report():
+    cfg = RecipeConfig(
+        spec_text=spec_text("even"), group_kind="free", genus=1, knots=_with_twist_1_copy(2)
+    )
+    with pytest.raises(CertificateError) as exc_info:
+        run_recipe(cfg)
+    return exc_info.value.report
+
+
+@pytest.mark.parametrize(
+    "make_report",
+    [
+        lambda: run_recipe(make_config(5, genus=2)),
+        lambda: run_recipe(
+            RecipeConfig(
+                spec_text=spec_text("odd"),
+                group_kind="surface",
+                genus=1,
+                knots=twist_knot_family(4),
+            )
+        ),
+        _failing_report,
+    ],
+    ids=["readme", "odd-surface", "twist_1_copy"],
+)
+def test_sections_rederive_from_records_read_back(make_report):
+    # every section is a function of the run's records alone: folded over
+    # the records of the written report, with a fresh replay trie, the
+    # sections give the report's certificates, entries and checks again
+    report = json.loads(compact_json(make_report()))
+    names, read = pipeline._record_reader(report)
+    records = {name: record_from_json(read(name)) for name in names}
+    run = pipeline._Run(_readback_config(report), records, read, ReplayTrie())
+    certificates, entries, checks = {}, [], []
+    for section in pipeline._SECTIONS:
+        section_certificates, section_entries, section_checks = section(run)
+        certificates.update(section_certificates)
+        entries += section_entries
+        checks += section_checks
+    assert compact_json(certificates) == compact_json(report["certificates"])
+    assert compact_json(entries) == compact_json(report["entries"])
+    # all but the partition check, which reads the assembled report
+    assert compact_json(checks) == compact_json(report["checks"][:-1])
+    assert report["checks"][-1]["id"] == "partition"
+    if report["config"]["group"].startswith("free:"):
+        # every TRUSTED row is fired once: the table holds no dead row
+        trusted = [e["id"] for e in entries if e["status"] == "TRUSTED"]
+        assert sorted(trusted) == sorted(pipeline._TRUSTED)
+    assert len(pipeline._SECTIONS) == len(set(pipeline._SECTIONS)) == 8

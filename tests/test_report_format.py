@@ -16,7 +16,6 @@ from pathlib import Path
 
 import pytest
 
-from exolink import pipeline
 from exolink.cli import main
 from exolink.knots import twist_knot_family
 from exolink.manifold import ObjectStore, compact_json, record_from_json
@@ -133,13 +132,13 @@ def test_objects_are_content_addressed_and_traces_point_to_parents():
 
 def test_report_shares_no_mutable_value(monkeypatch):
     written = []
-    real = pipeline._Report.add_record
+    real = ObjectStore.put_record
 
-    def keep(rep, name, record):
+    def keep(store, record):
         written.append(record)
-        real(rep, name, record)
+        return real(store, record)
 
-    monkeypatch.setattr(pipeline._Report, "add_record", keep)
+    monkeypatch.setattr(ObjectStore, "put_record", keep)
     report = run_recipe(_config())
     owner: dict[int, str] = {}
     for key, value in report["objects"].items():
