@@ -621,7 +621,7 @@ def _topological_isotopy(run: _Run):
         ),
         rule,
     ]
-    certificate = {"citation": rule["citation"], "computed_prerequisites": rule["hypotheses"]}
+    certificate = {"citation": rule["citation"], "computed_prerequisites": list(rule["hypotheses"])}
     return {"topological_isotopy": certificate}, entries, checks
 
 
