@@ -1,4 +1,5 @@
 """Surgery operations: SW transformation, gluing, loop/sphere duality, replay."""
+import hashlib
 import json
 
 import pytest
@@ -11,6 +12,7 @@ from exolink.knots import KnotRecord, twist_knot_family
 from exolink.manifold import (
     admissible_from_spec,
     canonical_json,
+    compact_json,
     invariant_tuple,
     kodaira_thurston_block,
     product_T2_Sigma_g,
@@ -126,6 +128,48 @@ def test_fiber_sum_composition_reproduces_product_blocks():
         assert iterated.sw == direct.sw
         assert iterated.form.rows == direct.form.rows
         assert invariant_tuple(iterated) == invariant_tuple(direct)
+
+
+def _route_cases():
+    s = knot_surgery(even_base(), "T1", twist_knot_family(2)[1])
+    return {
+        "quotient of side B": lambda: fiber_sum(s, "T2", kodaira_thurston_block(2), "T"),
+        "quotient of side A": lambda: fiber_sum(kodaira_thurston_block(2), "T", s, "T2"),
+        "pushout of the complement models": lambda: fiber_sum(
+            product_T2_Sigma_g(2), "T", standard_block("T2xS2"), "T"
+        ),
+        "pushout of the closed groups": lambda: fiber_sum(
+            kodaira_thurston_block(1), "T", kodaira_thurston_block(1), "T"
+        ),
+        "connected_sum": lambda: connected_sum(
+            product_T2_Sigma_g(1), kodaira_thurston_block(1)
+        ),
+    }
+
+
+# sha256 of compact_json(record_to_json(r)), taken with Python 3.11
+ROUTE_SHA256 = {
+    "quotient of side B": "04905aa441a6898383582218600fd40677c16a8224528996ae758383fd7f29b2",
+    "quotient of side A": "34114c2b7b564b5ce62f4f0510af8fc69e3336c630bcfda5db650aabda9291fa",
+    "pushout of the complement models": (
+        "011265e84d5a87a0fb436e39cffdf8fda15c8595a1ca214465c600241bb4fc9c"
+    ),
+    "pushout of the closed groups": (
+        "45e84b34b761b8e3481997ef847b1297dc51abdb6224c202de317518c4a01a5c"
+    ),
+    "connected_sum": "defc60d6c01bd2388e7ebc4b421555178ee1f475e61692a0ca15b90b48dd60ad",
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTE_SHA256))
+def test_gluing_routes_are_pinned(route):
+    # each fiber-sum pi1 route, and a connected sum whose B marks are
+    # relabelled and have their words remapped, pinned byte for byte
+    record = _route_cases()[route]()
+    step = record.trace[-1]
+    assert step.get("pi1_route", step["op"]).startswith(route)
+    digest = hashlib.sha256(compact_json(record_to_json(record)).encode()).hexdigest()
+    assert digest == ROUTE_SHA256[route]
 
 
 def test_fiber_sum_framing_pairing_checked():
