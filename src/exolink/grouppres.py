@@ -297,10 +297,7 @@ def free_product(
     """Disjoint union of presentations; returns (result, index offset for p2)."""
     offset = len(p1.generators)
     names = p1.generators + fresh_names(p1.generators, p2.generators)
-    shifted = tuple(
-        tuple(letter + offset if letter > 0 else letter - offset for letter in r)
-        for r in p2.relators
-    )
+    shifted = tuple(shift_word(r, offset) for r in p2.relators)
     return GroupPresentation(names, p1.relators + shifted), offset
 
 

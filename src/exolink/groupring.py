@@ -382,7 +382,7 @@ def from_text(text: str, nvars: int) -> GroupRingElement:
     return GroupRingElement.from_terms(nvars, items)
 
 
-def format_univariate(elem: GroupRingElement, symbol: str = "t") -> str:
+def format_univariate(elem: GroupRingElement) -> str:
     """Human-facing print form for one-variable elements: 't - 1 + t^-1'."""
     if elem.nvars != 1:
         raise ValueError("format_univariate needs a univariate element")
@@ -393,7 +393,7 @@ def format_univariate(elem: GroupRingElement, symbol: str = "t") -> str:
         if e == 0:
             body = str(abs(c))
         else:
-            power = symbol if e == 1 else f"{symbol}^{e}"
+            power = "t" if e == 1 else f"t^{e}"
             body = power if abs(c) == 1 else f"{abs(c)}*{power}"
         if not chunks:
             chunks.append(body if c > 0 else f"-{body}")

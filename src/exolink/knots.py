@@ -473,15 +473,15 @@ def twist_knot_family(count: int) -> tuple[KnotRecord, ...]:
 def knot_from_spec(spec: str) -> tuple[KnotRecord, ...]:
     """Parse a knot family request: 'twist:0..9', 'twist:5', or a braid literal."""
     spec = spec.strip()
-    m = re.fullmatch(r"twist:(\d+)\.\.(\d+)", spec)
+    m = re.fullmatch(r"twist:(?:(\d+)\.\.)?(\d+)", spec)
     if m:
-        lo, hi = int(m.group(1)), int(m.group(2))
-        if lo != 0:
-            raise ValueError("twist ranges must start at 0")
-        return twist_knot_family(hi + 1)
-    m = re.fullmatch(r"twist:(\d+)", spec)
-    if m:
-        n = int(m.group(1))
-        family = twist_knot_family(n + 1)
-        return (family[n],)
+        lo, hi, top = m.group(1), int(m.group(2)), len(TWIST_BRAIDS) - 1
+        if lo is not None and int(lo) != 0:
+            raise ValueError(
+                f"twist range {lo}..{hi} must start at 0 (the twist table is 0..{top})"
+            )
+        if hi > top:
+            raise ValueError(f"{spec!r} asks for twist_{hi}; the twist table is 0..{top}")
+        family = twist_knot_family(hi + 1)
+        return family if lo is not None else family[-1:]
     return (KnotRecord.from_braid(f"braid[{spec}]", parse_braid(spec)),)

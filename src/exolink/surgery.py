@@ -80,17 +80,50 @@ def _carry(mark: MarkedSubmanifold, move_class=None, **changes) -> MarkedSubmani
     return replace(mark, homology_class=cls, complement=None, **changes)
 
 
-def _glue_taken_labels(a: ManifoldRecord) -> set[str]:
-    """Labels the other side's marks avoid when glued onto ``a``: a's own,
-    ``belt[L]`` for each loop L and L for each belt ``belt[L]``, so that
-    either side's loops keep their belt labels free."""
+def _carry_other_side(
+    a: ManifoldRecord,
+    b: ManifoldRecord,
+    move_class,
+    words: tuple[GroupPresentation, int, tuple[str, ...]] | None,
+    drop_flags: frozenset[str] = frozenset(),
+    consumed: str | None = None,
+) -> tuple[list[MarkedSubmanifold], set[str]]:
+    """b's marks but ``consumed`` carried into a gluing onto ``a``, and the
+    new labels of b's relative-factor tori among them.
+
+    Each mark is relabelled away from a's labels, from ``belt[L]`` for each
+    loop L of a and from L for each belt ``belt[L]`` of a, so that either
+    side's loops keep their belt labels free.  Its class moves by
+    ``move_class``, it loses ``drop_flags``, and when b's generators move its
+    words are read in ``words`` = (b's presentation, the offset of its
+    generators, the glued group's generator names).
+    """
+    b_marks = [old for old in b.marks if old.label != consumed]
     taken = {mark.label for mark in a.marks}
     for mark in a.marks:
         if mark.kind == "loop":
             taken.add(f"belt[{mark.label}]")
         elif mark.label.startswith("belt[") and mark.label.endswith("]"):
             taken.add(mark.label[len("belt["):-1])
-    return taken
+    labels = fresh_names(taken, [old.label for old in b_marks])
+
+    def remap(text: str) -> str:
+        if words is None:
+            return text
+        source, offset, names = words
+        return word_to_text(shift_word(source.word(text), offset), names)
+
+    marks = [
+        _carry(
+            old,
+            move_class,
+            label=label,
+            pi1_words=tuple(remap(w) for w in old.pi1_words),
+            flags=old.flags - drop_flags,
+        )
+        for old, label in zip(b_marks, labels)
+    ]
+    return marks, {l for old, l in zip(b_marks, labels) if old.label in b.rel_tori}
 
 
 def _rel_tori(
@@ -191,13 +224,7 @@ def _basis_index_of_class(record: ManifoldRecord, mark: MarkedSubmanifold) -> in
     return cls.index(1)
 
 
-def fiber_sum(
-    a: ManifoldRecord,
-    torus_a: str,
-    b: ManifoldRecord,
-    torus_b: str,
-    framing_pairing: tuple[str, str] | None = None,
-) -> ManifoldRecord:
+def fiber_sum(a: ManifoldRecord, torus_a: str, b: ManifoldRecord, torus_b: str) -> ManifoldRecord:
     """Glue two records along marked square-zero tori.
 
     chi and signature add.  H_2 keeps A's basis (the glued dual absorbs the
@@ -208,10 +235,12 @@ def fiber_sum(
     cannot represent (for example two simply connected sides, where rim
     tori appear).
 
-    The fundamental group is computed by the best certified route: a
-    quotient when one glue torus has a simply connected complement, the
-    pushout of complement models when both sides carry them, else the
-    pushout of the closed groups recorded as a model (flag "pi1_model").
+    The fundamental group is computed by one of two certified routes.  When
+    one glue torus has a simply connected complement (A's tried first) and
+    its side marks no words, the group is the other side's quotient by the
+    glued torus directions.  Otherwise it is the van Kampen pushout of
+    complement models with the meridians identified when both tori carry
+    them, else of the closed groups, recorded as a model (flag "pi1_model").
 
     The Seiberg-Witten element is the product of the two relative factors
     when both are tracked, else untracked with a reason.
@@ -224,11 +253,6 @@ def fiber_sum(
             raise SurgeryError(
                 f"torus {mark.label!r} on side {side} lacks self_intersection_zero"
             )
-    if framing_pairing is not None and framing_pairing != (ta.framing, tb.framing):
-        raise SurgeryError(
-            f"framing tags incompatible: declared {framing_pairing}, "
-            f"marks carry {(ta.framing, tb.framing)}"
-        )
     ia, ib = _basis_index_of_class(a, ta), _basis_index_of_class(b, tb)
     ja, jb = _hyperbolic_partner(a.form, ia), _hyperbolic_partner(b.form, ib)
     leftover = [k for k in range(b.form.n) if k not in (ib, jb)]
@@ -271,51 +295,37 @@ def fiber_sum(
 
     # fundamental group
     record_flags = set(a.flags | b.flags)
-    glued_words = ta.pi1_words
-    remap_b_words = None
-    if "complement_simply_connected" in ta.flags and not any(
-        m.pi1_words for m in a.marks
-    ):
-        words = [b.pi1.word(w) for w in tb.pi1_words]
-        pi1 = b.pi1.quotient_by_normal_closure(words)
-        pi1_route = "quotient of side B by the glued torus directions"
-        glued_words = tb.pi1_words
-    elif "complement_simply_connected" in tb.flags and not any(
-        m.pi1_words for m in b.marks
-    ):
-        words = [a.pi1.word(w) for w in ta.pi1_words]
-        pi1 = a.pi1.quotient_by_normal_closure(words)
-        pi1_route = "quotient of side A by the glued torus directions"
-    elif ta.complement is not None and tb.complement is not None:
-        pa = GroupPresentation.parse(ta.complement[0])
-        pb = GroupPresentation.parse(tb.complement[0])
-        if len(ta.pi1_words) != 2 or len(tb.pi1_words) != 2:
-            raise SurgeryError("complement-model gluing needs both tori's directions")
-        pairs = [
-            (pa.word(ta.pi1_words[0]), pb.word(tb.pi1_words[0])),
-            (pa.word(ta.pi1_words[1]), pb.word(tb.pi1_words[1])),
-            (pa.word(ta.complement[1]), invert_word(pb.word(tb.complement[1]))),
-        ]
-        pi1 = svk_glue(pa, pb, pairs)
-        pi1_route = "pushout of the complement models with meridians identified"
-        offset = len(pa.generators)
-        remap_b_words = (pb, offset, pi1.generators)
+    b_words = None
+    for x, tx, y, ty, side in ((a, ta, b, tb, "B"), (b, tb, a, ta, "A")):
+        if "complement_simply_connected" in tx.flags and not any(
+            m.pi1_words for m in x.marks
+        ):
+            pi1 = y.pi1.quotient_by_normal_closure([y.pi1.word(w) for w in ty.pi1_words])
+            pi1_route = f"quotient of side {side} by the glued torus directions"
+            glued_words = ty.pi1_words
+            break
     else:
-        if len(ta.pi1_words) != 2 or len(tb.pi1_words) != 2:
-            raise SurgeryError(
+        if ta.complement is not None and tb.complement is not None:
+            pa, pb = (GroupPresentation.parse(t.complement[0]) for t in (ta, tb))
+            meridians = [(ta.complement[1], tb.complement[1])]
+            pi1_route = "pushout of the complement models with meridians identified"
+            refusal = "complement-model gluing needs both tori's directions"
+        else:
+            pa, pb, meridians = a.pi1, b.pi1, []
+            pi1_route = "pushout of the closed groups (tracked model)"
+            refusal = (
                 "no certified fundamental-group route: need a simply connected "
                 "complement flag, complement models, or torus directions on "
                 "both sides"
             )
-        pairs = [
-            (a.pi1.word(ta.pi1_words[0]), b.pi1.word(tb.pi1_words[0])),
-            (a.pi1.word(ta.pi1_words[1]), b.pi1.word(tb.pi1_words[1])),
-        ]
-        pi1 = svk_glue(a.pi1, b.pi1, pairs)
-        pi1_route = "pushout of the closed groups (tracked model)"
-        record_flags.add("pi1_model")
-        offset = len(a.pi1.generators)
-        remap_b_words = (b.pi1, offset, pi1.generators)
+            record_flags.add("pi1_model")
+        if len(ta.pi1_words) != 2 or len(tb.pi1_words) != 2:
+            raise SurgeryError(refusal)
+        pairs = [(pa.word(u), pb.word(v)) for u, v in zip(ta.pi1_words, tb.pi1_words)]
+        pairs += [(pa.word(u), invert_word(pb.word(v))) for u, v in meridians]
+        pi1 = svk_glue(pa, pb, pairs)
+        glued_words = ta.pi1_words
+        b_words = (pb, len(pa.generators), pi1.generators)
 
     euler = a.euler + b.euler
     b1 = pi1.abelianization()[0]
@@ -325,12 +335,6 @@ def fiber_sum(
             f"chi - 2 + 2*b1 = {euler - 2 + 2 * b1}; this gluing is outside "
             "the block rule"
         )
-
-    def remap_word(text: str) -> str:
-        if remap_b_words is None:
-            return text
-        source, offset, names = remap_b_words
-        return word_to_text(shift_word(source.word(text), offset), names)
 
     # Seiberg-Witten element from the relative factors
     fa = a.rel_factor(torus_a) if torus_a in a.rel_tori else None
@@ -368,27 +372,17 @@ def fiber_sum(
         )
         for old in a.marks
     ]
-    b_marks = [old for old in b.marks if old.label != torus_b]
-    b_labels = fresh_names(_glue_taken_labels(a), [old.label for old in b_marks])
-    marks += [
-        _carry(
-            old,
-            push_class,
-            label=label,
-            pi1_words=tuple(remap_word(w) for w in old.pi1_words),
-            flags=old.flags - {"complement_simply_connected"},
-        )
-        for old, label in zip(b_marks, b_labels)
-    ]
-    rel_labels = {torus_a, *a.rel_tori}
-    rel_labels.update(l for old, l in zip(b_marks, b_labels) if old.label in b.rel_tori)
+    b_marks, b_rel = _carry_other_side(
+        a, b, push_class, b_words, frozenset({"complement_simply_connected"}), consumed=torus_b
+    )
+    marks += b_marks
 
     step = {
         "op": "fiber_sum",
         "torus": torus_a,
         "other_torus": torus_b,
         "other_trace": list(b.trace),
-        "framing_pairing": list(framing_pairing) if framing_pairing else None,
+        "framing_pairing": None,
         "pi1_route": pi1_route,
         "cite": f"{CITE_TAUBES}; {CITE_RELATIVE_FACTORS}; {CITE_NOVIKOV}",
         "delta": {"chi": b.euler, "signature": invariants(b.form).signature},
@@ -402,7 +396,7 @@ def fiber_sum(
         sw=sw,
         sw_reason=sw_reason,
         marks=tuple(marks),
-        rel_tori=_rel_tori(sw, marks, rel_labels),
+        rel_tori=_rel_tori(sw, marks, {torus_a, *a.rel_tori, *b_rel}),
         flags=frozenset(record_flags),
         trace=a.trace + (step,),
     )
@@ -624,22 +618,11 @@ def connected_sum(a: ManifoldRecord, b: ManifoldRecord) -> ManifoldRecord:
     else:
         sw, sw_reason = None, "untracked (connected sum)"
 
-    def remap(text: str) -> str:
-        return word_to_text(shift_word(b.pi1.word(text), offset), pi1.generators)
-
-    b_labels = fresh_names(_glue_taken_labels(a), [old.label for old in b.marks])
     marks = [_carry(old, lambda cls: cls + (0,) * b.form.n) for old in a.marks]
-    marks += [
-        _carry(
-            old,
-            lambda cls: (0,) * a.form.n + cls,
-            label=label,
-            pi1_words=tuple(remap(w) for w in old.pi1_words),
-        )
-        for old, label in zip(b.marks, b_labels)
-    ]
-    rel_labels = set(a.rel_tori)
-    rel_labels.update(l for old, l in zip(b.marks, b_labels) if old.label in b.rel_tori)
+    b_marks, b_rel = _carry_other_side(
+        a, b, lambda cls: (0,) * a.form.n + cls, (b.pi1, offset, pi1.generators)
+    )
+    marks += b_marks
     step = {
         "op": "connected_sum",
         "other_trace": list(b.trace),
@@ -655,7 +638,7 @@ def connected_sum(a: ManifoldRecord, b: ManifoldRecord) -> ManifoldRecord:
         sw=sw,
         sw_reason=sw_reason,
         marks=tuple(marks),
-        rel_tori=_rel_tori(sw, marks, rel_labels),
+        rel_tori=_rel_tori(sw, marks, {*a.rel_tori, *b_rel}),
         flags=a.flags | b.flags,
         trace=a.trace + (step,),
     )
@@ -728,14 +711,7 @@ def _replay_step(record: ManifoldRecord | None, step: dict, memo: ReplayTrie) ->
         return knot_surgery(record, step["torus"], knot)
     if op == "fiber_sum":
         other = build_from_trace(step["other_trace"], memo=memo)
-        pairing = step.get("framing_pairing")
-        return fiber_sum(
-            record,
-            step["torus"],
-            other,
-            step["other_torus"],
-            None if pairing is None else (pairing[0], pairing[1]),
-        )
+        return fiber_sum(record, step["torus"], other, step["other_torus"])
     if op == "loop_surgery":
         return loop_surgery(
             record,

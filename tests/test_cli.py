@@ -140,6 +140,9 @@ def test_twist_spec_out_of_range_exits_2(even_spec_file, capsys, knots):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+    # the message names the request and the twist table, not a count
+    assert knots.removeprefix("twist:") in captured.err
+    assert "0..10" in captured.err and "1..11" not in captured.err
 
 
 def test_surface_genus_five_runs_to_pass(even_spec_file, capsys):

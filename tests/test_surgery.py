@@ -20,6 +20,7 @@ from exolink.manifold import (
     same_json,
     standard_block,
 )
+from exolink.pipeline import verify_trace_report
 from exolink.surgery import (
     SurgeryError,
     build_from_trace,
@@ -172,11 +173,15 @@ def test_gluing_routes_are_pinned(route):
     assert digest == ROUTE_SHA256[route]
 
 
-def test_fiber_sum_framing_pairing_checked():
-    m = knot_surgery(even_base(), "T1", TREFOIL)
-    block = kodaira_thurston_block(1)
-    with pytest.raises(SurgeryError):
-        fiber_sum(m, "T2", block, "T", framing_pairing=("wrong", "symplectic"))
+def test_stored_framing_pairing_fails_replay():
+    # a fiber-sum step always stores a null framing pairing, so a report
+    # that declares one, even the marks' own, does not replay to itself
+    m = even_base()
+    z = record_to_json(fiber_sum(m, "T2", kodaira_thurston_block(1), "T"))
+    z["trace"][-1]["framing_pairing"] = [m.mark("T2").framing, "symplectic"]
+    entry = verify_trace_report({"records": {"Z": z}})["records"]["Z"]
+    assert entry["identical"] is False
+    assert entry["differs"] == ["trace"]
 
 
 def test_loop_surgery_essential_drops_b1_and_stabilizes_sw():
