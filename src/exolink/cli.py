@@ -2,7 +2,10 @@
 
 Machine output is JSON on stdout; `report render` is the one subcommand
 that prints a human-readable summary instead.  Exit codes: 0 when every
-computed check passes, 1 when a check fails, 2 on usage or parse errors.
+computed check passes, 1 when a check fails, 2 on any bad input.  Past
+argparse's usage errors, bad input is a spec, braid or report that does not
+parse or validate, or a file that cannot be read, is not UTF-8 or cannot be
+written: each is a ValueError, and `main` alone turns it into exit 2.
 """
 from __future__ import annotations
 
@@ -23,7 +26,6 @@ from .manifold import (
 )
 from .pipeline import (
     CertificateError,
-    ConfigError,
     RecipeConfig,
     parse_group_arg,
     parse_knots_arg,
@@ -33,19 +35,19 @@ from .pipeline import (
     verify_trace_report,
 )
 
-class _UsageError(Exception):
-    """Raised for argument-level problems that must exit with code 2."""
+
+def _read_text(path: str, what: str) -> str:
+    """The text of the UTF-8 ``what`` file at ``path``."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {what} file {path}: {exc}") from exc
 
 
-def _cmd_knots(args: argparse.Namespace) -> int:
-    if args.knots_cmd == "poly":
-        try:
-            poly = alexander_poly(parse_braid(args.braid))
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
-        print(format_univariate(poly))
-        return 0
-    raise _UsageError("unknown knots subcommand")
+def _cmd_knots_poly(args: argparse.Namespace) -> int:
+    print(format_univariate(alexander_poly(parse_braid(args.braid))))
+    return 0
 
 
 def _cmd_blocks(_args: argparse.Namespace) -> int:
@@ -73,22 +75,10 @@ def _cmd_blocks(_args: argparse.Namespace) -> int:
 
 
 def _cmd_recipe_run(args: argparse.Namespace) -> int:
-    try:
-        with open(args.spec, encoding="utf-8") as handle:
-            spec_text = handle.read()
-    except OSError as exc:
-        raise _UsageError(f"cannot read spec file {args.spec}: {exc}") from exc
-    try:
-        kind, genus = parse_group_arg(args.group)
-        knots = parse_knots_arg(args.knots)
-        cfg = RecipeConfig(
-            spec_text=spec_text,
-            group_kind=kind,
-            genus=genus,
-            knots=knots,
-        )
-    except (ConfigError, ValueError) as exc:
-        raise _UsageError(str(exc)) from exc
+    spec_text = _read_text(args.spec, "spec")
+    kind, genus = parse_group_arg(args.group)
+    knots = parse_knots_arg(args.knots)
+    cfg = RecipeConfig(spec_text=spec_text, group_kind=kind, genus=genus, knots=knots)
     try:
         report = run_recipe(cfg)
         code = 0
@@ -96,14 +86,14 @@ def _cmd_recipe_run(args: argparse.Namespace) -> int:
         report = exc.report
         print(f"failed checks: {exc}", file=sys.stderr)
         code = 1
-    except ValueError as exc:
-        # admissibility violations are data errors in the spec file
-        raise _UsageError(str(exc)) from exc
     # the whole report, rendered once, is the file and the stdout alike
     rendered = canonical_json(report, indent=None) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+        except OSError as exc:
+            raise ValueError(f"cannot write report file {args.out}: {exc}") from exc
         summary = {
             "verdict": report["verdict"],
             "out": args.out,
@@ -119,34 +109,23 @@ def _cmd_recipe_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
-    try:
-        report = verify_lemma_suite(args.gmax)
-    except ConfigError as exc:
-        raise _UsageError(str(exc)) from exc
+    report = verify_lemma_suite(args.gmax)
     print(canonical_json(report))
     return 0 if report["pass"] else 1
 
 
 def _load_report(path: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as handle:
-            report = json.load(handle)
-    except OSError as exc:
-        raise _UsageError(f"cannot read report file {path}: {exc}") from exc
+        report = json.loads(_read_text(path, "report"))
     except json.JSONDecodeError as exc:
-        raise _UsageError(f"report file is not JSON: {exc}") from exc
+        raise ValueError(f"report file is not JSON: {exc}") from exc
     if not isinstance(report, dict):
-        raise _UsageError("report file must hold a JSON object")
+        raise ValueError("report file must hold a JSON object")
     return report
 
 
 def _cmd_verify_trace(args: argparse.Namespace) -> int:
-    report = _load_report(args.report)
-    try:
-        result = verify_trace_report(report, step=args.step)
-    except ValueError as exc:
-        # a --step below 1, or records or a trace of the wrong shape
-        raise _UsageError(str(exc)) from exc
+    result = verify_trace_report(_load_report(args.report), step=args.step)
     print(canonical_json(result))
     return 0 if result["pass"] else 1
 
@@ -203,12 +182,9 @@ def _render_report(report: dict) -> str:
 def _cmd_report_render(args: argparse.Namespace) -> int:
     try:
         text = _render_report(_load_report(args.report))
-    except ValueError as exc:
-        # records, or a key in them, that do not resolve
-        raise _UsageError(str(exc)) from exc
     except (LookupError, TypeError, AttributeError) as exc:
         # a check, an entry or the config with a field missing or mistyped
-        raise _UsageError(f"malformed report: {type(exc).__name__}: {exc}") from exc
+        raise ValueError(f"malformed report: {type(exc).__name__}: {exc}") from exc
     print(text)
     return 0
 
@@ -224,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     knots_sub = knots.add_subparsers(dest="knots_cmd", required=True)
     poly = knots_sub.add_parser("poly", help="Alexander polynomial of a braid closure")
     poly.add_argument("braid", help='braid word, e.g. "2: s1^3"')
-    knots.set_defaults(func=_cmd_knots)
+    poly.set_defaults(func=_cmd_knots_poly)
 
     blocks = sub.add_parser("blocks", help="list the building-block records")
     blocks.set_defaults(func=_cmd_blocks)
@@ -269,7 +245,8 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except _UsageError as exc:
+    except ValueError as exc:
+        # bad input of any command: a spec, braid, report or file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

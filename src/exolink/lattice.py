@@ -39,6 +39,8 @@ class IntSymMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntSymMatrix":
+        """A matrix read from outside input (a spec, a report): every entry
+        must be an int."""
         rows = tuple(map(tuple, rows))
         if not all(type(x) is int for row in rows for x in row):  # no floats, no bools
             raise TypeError("matrix entries must be ints")
@@ -47,9 +49,7 @@ class IntSymMatrix:
     @classmethod
     def diagonal(cls, entries: Sequence[int]) -> "IntSymMatrix":
         n = len(entries)
-        return cls.from_rows(
-            [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        )
+        return cls(tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n)))
 
     @classmethod
     def empty(cls) -> "IntSymMatrix":
@@ -78,7 +78,7 @@ class IntSymMatrix:
 
 
 def hyperbolic_pair() -> IntSymMatrix:
-    return IntSymMatrix.from_rows([[0, 1], [1, 0]])
+    return IntSymMatrix(((0, 1), (1, 0)))
 
 
 def direct_sum(*parts: IntSymMatrix) -> IntSymMatrix:
@@ -90,7 +90,7 @@ def direct_sum(*parts: IntSymMatrix) -> IntSymMatrix:
             for j in range(p.n):
                 rows[off + i][off + j] = p.rows[i][j]
         off += p.n
-    return IntSymMatrix.from_rows(rows)
+    return IntSymMatrix(tuple(map(tuple, rows)))
 
 
 def _bareiss(rows: Sequence[Sequence[int]]) -> int:

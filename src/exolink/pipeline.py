@@ -17,7 +17,6 @@ fixed configuration yields byte-identical output.
 """
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -188,7 +187,9 @@ def parse_group_arg(text: str) -> tuple[str, int]:
 def parse_knots_arg(text: str) -> tuple[KnotRecord, ...]:
     """Parse "twist:A..B" (or any `knot_from_spec` form) or "name=braid;..."."""
     text = text.strip()
-    if "=" in text:
+    try:
+        if "=" not in text:
+            return knot_from_spec(text)
         records = []
         for chunk in text.split(";"):
             chunk = chunk.strip()
@@ -196,15 +197,13 @@ def parse_knots_arg(text: str) -> tuple[KnotRecord, ...]:
                 continue
             name, sep, braid = chunk.partition("=")
             if not sep:
-                raise ConfigError(f"bad knot entry {chunk!r}; expected name=braid")
+                raise ValueError(f"bad knot entry {chunk!r}; expected name=braid")
             records.append(KnotRecord.from_braid(name.strip(), braid.strip()))
-        if not records:
-            raise ConfigError("explicit knot list is empty")
-        return tuple(records)
-    try:
-        return knot_from_spec(text)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if not records:
+        raise ConfigError("explicit knot list is empty")
+    return tuple(records)
 
 
 # -- report reading ---------------------------------------------------------------
@@ -365,13 +364,19 @@ def _loop_labels(cfg: RecipeConfig) -> tuple[str, ...]:
     return a + b
 
 
+def _spec(base: ManifoldRecord) -> dict:
+    """The spec document a base record was built from: its base step's,
+    parsed once by `admissible_from_spec`."""
+    return base.trace[0]["args"]["spec"]
+
+
 def _recipe_records(cfg: RecipeConfig) -> dict[str, ManifoldRecord]:
     """Every record of a run by its report name, in the order the report
     stores them: ``M``, ``B_G``, ``Z[k]`` and ``Zstar[k]`` for each knot k,
     then ``ambient_reference``.  The order is output: a trace object's
     ``parent`` is the longest proper prefix stored before it."""
     base = admissible_from_spec(cfg.spec_text)
-    roles = json.loads(cfg.spec_text)["admissible"]
+    roles = _spec(base)["admissible"]
     block = _group_block(cfg)
     records = {"M": base, "B_G": block}
     for knot in cfg.knots:
@@ -394,13 +399,12 @@ def run_recipe(cfg: RecipeConfig) -> dict:
     that same report) if any COMPUTED check fails, naming the failing
     clause and, for the SW check, each group of colliding knots.
     """
-    spec_data = json.loads(cfg.spec_text)
     records = _recipe_records(cfg)
     store = ObjectStore()
     report: dict = {
         "format": REPORT_FORMAT,
         "config": {
-            "admissible_spec": store.put(spec_data),
+            "admissible_spec": store.put(_spec(records["M"])),
             "group": f"{cfg.group_kind}:{cfg.genus}",
             "knots": [{"name": k.name, "braid": braid_to_text(k.braid)} for k in cfg.knots],
         },
@@ -578,8 +582,7 @@ def _topological_isotopy(run: _Run):
     trivial = {name: simplifies_trivial(zs.pi1) for name, zs in zstar_records.items()}
     indefinite = {name: invariants(zs.form).indefinite for name, zs in zstar_records.items()}
     flags_ok = all(
-        "complement_simply_connected" in base.mark(label).flags
-        for label in (m.label for m in base.marks if m.kind == "torus")
+        "complement_simply_connected" in m.flags for m in base.marks if m.kind == "torus"
     )
     checks = [
         _check(
@@ -729,7 +732,7 @@ def _brunnian(run: _Run):
         cores.append({k: v for k, v in record_to_json(dissolved).items() if k != "trace"})
     identical = bool(cores) and all(same_json(cores[0], core) for core in cores[1:])
 
-    t2_label = json.loads(cfg.spec_text)["admissible"]["T2"]
+    t2_label = _spec(run.records["M"])["admissible"]["T2"]
     try:
         branch, detail = mandelbaum_gompf_hypotheses(run.records["M"], t2_label)
         mg = {"certified": True, "branch": branch, "detail": detail}

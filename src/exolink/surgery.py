@@ -272,7 +272,7 @@ def fiber_sum(a: ManifoldRecord, torus_a: str, b: ManifoldRecord, torus_b: str) 
         for bj, l in enumerate(leftover):
             row[n_a + bj] = b.form.entry(k, l)
         rows.append(row)
-    form = IntSymMatrix.from_rows(rows)
+    form = IntSymMatrix(tuple(map(tuple, rows)))
 
     # coordinate pushforward for B-side classes and exponents
     b_dest = {ib: ia, jb: ja}
@@ -583,7 +583,7 @@ def _zero_log_transform(m: ManifoldRecord, torus_label: str) -> ManifoldRecord:
         name=f"{m.name}_L0[{torus_label}]",
         pi1=m.pi1.quotient_by_normal_closure([m.pi1.word(mark.pi1_words[1])]),
         euler=m.euler,
-        form=IntSymMatrix.from_rows([[m.form.entry(i, j) for j in keep] for i in keep]),
+        form=IntSymMatrix(tuple(tuple(m.form.entry(i, j) for j in keep) for i in keep)),
         basis=tuple(m.basis[i] for i in keep),
         sw=None,
         sw_reason="untracked (zero log transform)",

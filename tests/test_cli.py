@@ -487,6 +487,56 @@ def test_malformed_spec_exits_2(tmp_path, capsys, path, value):
     assert not captured.out
 
 
+# every subcommand that reads input, with one bad input each: argv uses
+# {spec} for the shipped even spec and {tmp} for the test's directory, which
+# holds not_utf8.json, not_json.json and list.json
+BAD_INPUT_CASES = {
+    "poly-link": (["knots", "poly", "2: s1^2"], "closure has 2 components; need a knot"),
+    "poly-text": (["knots", "poly", "x"], "missing ':'"),
+    "spec-missing": (["recipe", "run", "--spec", "{tmp}/nope.json"], "cannot read spec file"),
+    "spec-not-utf8": (["recipe", "run", "--spec", "{tmp}/not_utf8.json"], "cannot read spec file"),
+    "spec-not-json": (["recipe", "run", "--spec", "{tmp}/not_json.json"], "spec is not valid JSON"),
+    "group-no-genus": (["recipe", "run", "--group", "free"], "free:G or surface:G"),
+    "knots-list-link": (
+        ["recipe", "run", "--knots", "a=2: s1^2"],
+        "closure has 2 components; need a knot",
+    ),
+    "knots-past-table": (["recipe", "run", "--knots", "twist:0..11"], "twist table is 0..10"),
+    "out-missing-dir": (
+        ["recipe", "run", "--out", "{tmp}/missing/report.json"],
+        "cannot write report file",
+    ),
+    "lemmas-gmax-0": (["verify", "lemmas", "--gmax", "0"], "gmax must be >= 1"),
+    "trace-missing": (["verify-trace", "{tmp}/nope.json"], "cannot read report file"),
+    "trace-not-utf8": (["verify-trace", "{tmp}/not_utf8.json"], "cannot read report file"),
+    "trace-not-json": (["verify-trace", "{tmp}/not_json.json"], "report file is not JSON"),
+    "trace-list": (["verify-trace", "{tmp}/list.json"], "must hold a JSON object"),
+    "trace-spec": (["verify-trace", "{spec}"], "no 'records'"),
+    "render-missing": (["report", "render", "{tmp}/nope.json"], "cannot read report file"),
+    "render-not-utf8": (["report", "render", "{tmp}/not_utf8.json"], "cannot read report file"),
+    "render-not-json": (["report", "render", "{tmp}/not_json.json"], "report file is not JSON"),
+    "render-list": (["report", "render", "{tmp}/list.json"], "must hold a JSON object"),
+    "render-spec": (["report", "render", "{spec}"], "no 'records'"),
+}
+
+
+@pytest.mark.parametrize("argv, message", BAD_INPUT_CASES.values(), ids=BAD_INPUT_CASES)
+def test_bad_input_exits_2_with_one_error_line(tmp_path, even_spec_file, capsys, argv, message):
+    (tmp_path / "not_utf8.json").write_bytes(b'{"name": "M\xe9"}')
+    (tmp_path / "not_json.json").write_text("{not json", encoding="utf-8")
+    (tmp_path / "list.json").write_text("[]", encoding="utf-8")
+    argv = [arg.format(tmp=tmp_path, spec=even_spec_file) for arg in argv]
+    if argv[:2] == ["recipe", "run"]:
+        # the one bad option of the case, the others good
+        good = {"--spec": str(even_spec_file), "--group": "free:1", "--knots": "twist:0..1"}
+        argv += [arg for option, value in good.items() if option not in argv for arg in (option, value)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert message in captured.err and "Traceback" not in captured.err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "exolink" in capsys.readouterr().out

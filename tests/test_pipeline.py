@@ -291,6 +291,10 @@ def test_parse_group_and_knot_args():
         parse_knots_arg("u=1:; oops")
     with pytest.raises(ConfigError):
         parse_knots_arg("twist:3..1")
+    # a bad braid is the same ConfigError in a list as on its own
+    for text in ("2: s1^2", "a=2: s1^2", "u=1:; a=2: s1^2"):
+        with pytest.raises(ConfigError, match="closure has 2 components; need a knot"):
+            parse_knots_arg(text)
 
 
 def _readback_config(report) -> RecipeConfig:
