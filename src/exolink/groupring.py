@@ -13,7 +13,7 @@ equality and elements are safely hashable.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from operator import add
 
@@ -156,41 +156,18 @@ class GroupRingElement:
             self.nvars, [(tuple(-x for x in e), c) for e, c in self.terms]
         )
 
-    def substitute_hom(self, matrix: Sequence[Sequence[int]]) -> "GroupRingElement":
-        """Push forward along the monoid map e -> matrix @ e.
+    def substitute_hom(
+        self, move: Callable[[ExponentVector], Sequence[int]], nvars: int
+    ) -> "GroupRingElement":
+        """Push forward along a homomorphism ``move``: Z^self.nvars -> Z^nvars.
 
-        ``matrix`` is an s x nvars integer matrix; the result lives in
-        Z[Z^s].  This is the ring homomorphism induced by a homomorphism
-        Z^nvars -> Z^s, so it is additive and multiplicative (covered by the
-        property tests).
-
-        Each column's nonzero ``(row, entry)`` pairs are listed once, and
-        each exponent vector adds up only its nonzero coordinates' columns:
-        the gluing maps of `fiber_sum` and `embed_knot_poly_at_class` have
-        at most one nonzero entry per column, so a term costs O(nvars), not
-        O(s * nvars).  Terms that land on one exponent are summed.
+        ``move`` sends each exponent vector to its image, of length
+        ``nvars``, and the result lives in Z[Z^nvars].  For a homomorphism
+        this is the induced ring homomorphism, so it is additive and
+        multiplicative (covered by the property tests).  Terms that land on
+        one exponent are summed.
         """
-        rows = [tuple(row) for row in matrix]
-        for row in rows:
-            if len(row) != self.nvars:
-                raise ValueError(
-                    f"matrix row length {len(row)} != nvars {self.nvars}"
-                )
-        s = len(rows)
-        columns = [
-            [(i, row[j]) for i, row in enumerate(rows) if row[j]]
-            for j in range(self.nvars)
-        ]
-        acc: dict[ExponentVector, int] = {}
-        for e, c in self.terms:
-            image = [0] * s
-            for x, column in zip(e, columns):
-                if x:
-                    for i, m in column:
-                        image[i] += m * x
-            key = tuple(image)
-            acc[key] = acc.get(key, 0) + c
-        return GroupRingElement(s, _sorted_terms(acc))
+        return GroupRingElement.from_terms(nvars, ((move(e), c) for e, c in self.terms))
 
     def __repr__(self) -> str:
         return f"GroupRingElement({self.nvars}, {to_text(self)!r})"
@@ -208,8 +185,7 @@ def embed_knot_poly_at_class(
     if delta.nvars != 1:
         raise ValueError("knot polynomial must be univariate")
     cls = tuple(torus_class)
-    matrix = [(2 * ci,) for ci in cls]
-    return delta.substitute_hom(matrix)
+    return delta.substitute_hom(lambda e: [2 * e[0] * c for c in cls], len(cls))
 
 
 @dataclass(frozen=True)

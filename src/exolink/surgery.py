@@ -67,63 +67,55 @@ class SurgeryError(ValueError):
     """An operation's hypotheses could not be certified from the record."""
 
 
-def _carry(mark: MarkedSubmanifold, move_class=None, **changes) -> MarkedSubmanifold:
-    """``mark`` carried through an operation into the new record.
+def _carry(
+    marks,
+    move_class=None,
+    drop_flags: frozenset[str] = frozenset(),
+    words: tuple[GroupPresentation, int, tuple[str, ...]] | None = None,
+    changes: dict[str, dict] | None = None,
+) -> list[MarkedSubmanifold]:
+    """``marks`` carried through an operation into the new record.
 
     ``move_class`` maps a homology class into the new basis (a mark without
-    a class keeps none), the complement model is dropped because every
-    operation changes the complement, and ``changes`` replace other fields.
+    a class keeps none), each mark loses ``drop_flags`` and its complement
+    model, because every operation changes the complement, and when the
+    side's generators move its words are read in ``words`` = (the side's
+    presentation, the offset of its generators, the new group's generator
+    names).  ``changes[label]`` replaces further fields of that mark.
     """
-    cls = mark.homology_class
-    if move_class is not None and cls is not None:
-        cls = move_class(cls)
-    return replace(mark, homology_class=cls, complement=None, **changes)
+    carried = []
+    for mark in marks:
+        fields = {"complement": None}
+        if drop_flags:
+            fields["flags"] = mark.flags - drop_flags
+        if move_class is not None and mark.homology_class is not None:
+            fields["homology_class"] = tuple(move_class(mark.homology_class))
+        if words is not None:
+            source, offset, names = words
+            fields["pi1_words"] = tuple(
+                word_to_text(shift_word(source.word(w), offset), names)
+                for w in mark.pi1_words
+            )
+        if changes and mark.label in changes:
+            fields.update(changes[mark.label])
+        carried.append(replace(mark, **fields))
+    return carried
 
 
-def _carry_other_side(
-    a: ManifoldRecord,
-    b: ManifoldRecord,
-    move_class,
-    words: tuple[GroupPresentation, int, tuple[str, ...]] | None,
-    drop_flags: frozenset[str] = frozenset(),
-    consumed: str | None = None,
-) -> tuple[list[MarkedSubmanifold], set[str]]:
-    """b's marks but ``consumed`` carried into a gluing onto ``a``, and the
-    new labels of b's relative-factor tori among them.
+def _labels_beside(a: ManifoldRecord, labels: list[str]) -> dict[str, str]:
+    """Fresh names for another side's mark ``labels`` in a gluing onto ``a``.
 
-    Each mark is relabelled away from a's labels, from ``belt[L]`` for each
-    loop L of a and from L for each belt ``belt[L]`` of a, so that either
-    side's loops keep their belt labels free.  Its class moves by
-    ``move_class``, it loses ``drop_flags``, and when b's generators move its
-    words are read in ``words`` = (b's presentation, the offset of its
-    generators, the glued group's generator names).
+    They avoid a's labels, ``belt[L]`` for each loop L of a and L for each
+    belt ``belt[L]`` of a, so that either side's loops keep their belt
+    labels free.
     """
-    b_marks = [old for old in b.marks if old.label != consumed]
     taken = {mark.label for mark in a.marks}
     for mark in a.marks:
         if mark.kind == "loop":
             taken.add(f"belt[{mark.label}]")
         elif mark.label.startswith("belt[") and mark.label.endswith("]"):
             taken.add(mark.label[len("belt["):-1])
-    labels = fresh_names(taken, [old.label for old in b_marks])
-
-    def remap(text: str) -> str:
-        if words is None:
-            return text
-        source, offset, names = words
-        return word_to_text(shift_word(source.word(text), offset), names)
-
-    marks = [
-        _carry(
-            old,
-            move_class,
-            label=label,
-            pi1_words=tuple(remap(w) for w in old.pi1_words),
-            flags=old.flags - drop_flags,
-        )
-        for old, label in zip(b_marks, labels)
-    ]
-    return marks, {l for old, l in zip(b_marks, labels) if old.label in b.rel_tori}
+    return dict(zip(labels, fresh_names(taken, labels)))
 
 
 def _rel_tori(
@@ -174,11 +166,9 @@ def knot_surgery(m: ManifoldRecord, torus_label: str, knot: KnotRecord) -> Manif
     surgered_flags = mark.flags
     if knot.braid.letters:
         surgered_flags = surgered_flags - {"complement_simply_connected"}
-    marks = tuple(
-        _carry(old, framing=f"tau_K[{knot.name}]", flags=surgered_flags)
-        if old.label == torus_label
-        else _carry(old)
-        for old in m.marks
+    marks = _carry(
+        m.marks,
+        changes={torus_label: {"framing": f"tau_K[{knot.name}]", "flags": surgered_flags}},
     )
     step = {
         "op": "knot_surgery",
@@ -187,17 +177,12 @@ def knot_surgery(m: ManifoldRecord, torus_label: str, knot: KnotRecord) -> Manif
         "cite": CITE_KNOT_SURGERY,
         "delta": {"sw": "multiplied by the embedded Alexander polynomial"},
     }
-    return ManifoldRecord(
+    return replace(
+        m,
         name=f"{m.name}[{knot.name}]",
-        pi1=m.pi1,
-        euler=m.euler,
-        form=m.form,
-        basis=m.basis,
         sw=sw,
         sw_reason="tracked",
-        marks=marks,
-        rel_tori=m.rel_tori,
-        flags=m.flags,
+        marks=tuple(marks),
         trace=m.trace + (step,),
     )
 
@@ -205,23 +190,21 @@ def knot_surgery(m: ManifoldRecord, torus_label: str, knot: KnotRecord) -> Manif
 # -- generalized fiber sum -------------------------------------------------------
 
 
-def _hyperbolic_partner(form: IntSymMatrix, i: int) -> int:
+def _glue_pair(form: IntSymMatrix, mark: MarkedSubmanifold) -> tuple[int, int]:
+    """The basis indices (i, j) of a glue torus's class and of its dual."""
+    cls = mark.homology_class
+    if cls is None or sum(abs(c) for c in cls) != 1 or 1 not in cls:
+        raise SurgeryError(
+            f"glue torus {mark.label!r} class must be a positive basis vector"
+        )
+    i = cls.index(1)
     partners = [j for j in range(form.n) if j != i and form.entry(i, j) != 0]
     if len(partners) != 1 or form.entry(i, partners[0]) != 1:
         raise SurgeryError(
             "glued torus must pair with exactly one dual basis class, with "
             "intersection number one"
         )
-    return partners[0]
-
-
-def _basis_index_of_class(record: ManifoldRecord, mark: MarkedSubmanifold) -> int:
-    cls = mark.homology_class
-    if cls is None or sum(abs(c) for c in cls) != 1 or 1 not in cls:
-        raise SurgeryError(
-            f"glue torus {mark.label!r} class must be a positive basis vector"
-        )
-    return cls.index(1)
+    return i, partners[0]
 
 
 def fiber_sum(a: ManifoldRecord, torus_a: str, b: ManifoldRecord, torus_b: str) -> ManifoldRecord:
@@ -253,8 +236,7 @@ def fiber_sum(a: ManifoldRecord, torus_a: str, b: ManifoldRecord, torus_b: str) 
             raise SurgeryError(
                 f"torus {mark.label!r} on side {side} lacks self_intersection_zero"
             )
-    ia, ib = _basis_index_of_class(a, ta), _basis_index_of_class(b, tb)
-    ja, jb = _hyperbolic_partner(a.form, ia), _hyperbolic_partner(b.form, ib)
+    (ia, ja), (ib, jb) = _glue_pair(a.form, ta), _glue_pair(b.form, tb)
     leftover = [k for k in range(b.form.n) if k not in (ib, jb)]
     for k in (ib, jb):
         for l in leftover:
@@ -274,24 +256,20 @@ def fiber_sum(a: ManifoldRecord, torus_a: str, b: ManifoldRecord, torus_b: str) 
         rows.append(row)
     form = IntSymMatrix(tuple(map(tuple, rows)))
 
-    # coordinate pushforward for B-side classes and exponents
+    # each side's H_2 map, for its marks' classes and its exponents alike
+    pad = (0,) * len(leftover)
     b_dest = {ib: ia, jb: ja}
     for bi, k in enumerate(leftover):
         b_dest[k] = n_a + bi
 
-    def push_class(cls: tuple[int, ...]) -> tuple[int, ...]:
+    def move_a(cls):
+        return cls + pad
+
+    def move_b(cls):
         out = [0] * n_new
         for k, c in enumerate(cls):
             out[b_dest[k]] += c
-        return tuple(out)
-
-    # pushforward matrices for substitute_hom: target rows, source columns
-    a_matrix = [
-        [1 if i == j else 0 for j in range(n_a)] for i in range(n_new)
-    ]
-    b_matrix = [
-        [1 if b_dest[k] == i else 0 for k in range(b.form.n)] for i in range(n_new)
-    ]
+        return out
 
     # fundamental group
     record_flags = set(a.flags | b.flags)
@@ -345,7 +323,7 @@ def fiber_sum(a: ManifoldRecord, torus_a: str, b: ManifoldRecord, torus_b: str) 
                 raise SurgeryError(
                     "relative factor involves the glued dual class; unsupported"
                 )
-        sw = fa.substitute_hom(a_matrix) * fb.substitute_hom(b_matrix)
+        sw = fa.substitute_hom(move_a, n_new) * fb.substitute_hom(move_b, n_new)
         sw_reason = "tracked"
     else:
         missing = []
@@ -357,25 +335,18 @@ def fiber_sum(a: ManifoldRecord, torus_a: str, b: ManifoldRecord, torus_b: str) 
         sw_reason = f"untracked (missing relative factor for {', '.join(missing)})"
 
     # marks: glued torus re-marked on A's label; B's glue mark consumed
-    pad = (0,) * len(leftover)
-    marks = [
-        _carry(
-            old,
-            lambda cls: cls + pad,
-            pi1_words=glued_words,
-            framing=f"glued[{ta.framing}|{tb.framing}]",
-            flags=frozenset({"self_intersection_zero"}),
-        )
-        if old.label == torus_a
-        else _carry(
-            old, lambda cls: cls + pad, flags=old.flags - {"complement_simply_connected"}
-        )
-        for old in a.marks
-    ]
-    b_marks, b_rel = _carry_other_side(
-        a, b, push_class, b_words, frozenset({"complement_simply_connected"}), consumed=torus_b
+    drop = frozenset({"complement_simply_connected"})
+    glued = {
+        "pi1_words": glued_words,
+        "framing": f"glued[{ta.framing}|{tb.framing}]",
+        "flags": frozenset({"self_intersection_zero"}),
+    }
+    b_marks = [old for old in b.marks if old.label != torus_b]
+    labels = _labels_beside(a, [old.label for old in b_marks])
+    marks = _carry(a.marks, move_a, drop, changes={torus_a: glued})
+    marks += _carry(
+        b_marks, move_b, drop, b_words, {old: {"label": new} for old, new in labels.items()}
     )
-    marks += b_marks
 
     step = {
         "op": "fiber_sum",
@@ -396,7 +367,9 @@ def fiber_sum(a: ManifoldRecord, torus_a: str, b: ManifoldRecord, torus_b: str) 
         sw=sw,
         sw_reason=sw_reason,
         marks=tuple(marks),
-        rel_tori=_rel_tori(sw, marks, {torus_a, *a.rel_tori, *b_rel}),
+        rel_tori=_rel_tori(
+            sw, marks, {torus_a, *a.rel_tori, *(labels[l] for l in b.rel_tori if l in labels)}
+        ),
         flags=frozenset(record_flags),
         trace=a.trace + (step,),
     )
@@ -483,9 +456,9 @@ def loop_surgery(
         parity = None
         branch = "essential"
 
-    marks = [
-        _carry(old, lambda cls: cls + pad) for old in m.marks if old.label != loop_label
-    ]
+    marks = _carry(
+        [old for old in m.marks if old.label != loop_label], lambda cls: cls + pad
+    )
     marks.append(
         MarkedSubmanifold(
             kind="sphere_link_component",
@@ -570,14 +543,16 @@ def _zero_log_transform(m: ManifoldRecord, torus_label: str) -> ManifoldRecord:
         raise SurgeryError(f"{torus_label!r} is not a torus mark")
     if len(mark.pi1_words) != 2:
         raise SurgeryError(f"{torus_label!r} does not carry its two directions")
-    idx = _basis_index_of_class(m, mark)
-    removed = {idx, _hyperbolic_partner(m.form, idx)}
+    removed = set(_glue_pair(m.form, mark))
     keep = [i for i in range(m.form.n) if i not in removed]
-    marks = tuple(
-        _carry(old, lambda cls: tuple(cls[i] for i in keep))
-        for old in m.marks
-        if old.label != torus_label
-        and not (old.homology_class and any(old.homology_class[i] for i in removed))
+    marks = _carry(
+        [
+            old
+            for old in m.marks
+            if old.label != torus_label
+            and not (old.homology_class and any(old.homology_class[i] for i in removed))
+        ],
+        lambda cls: [cls[i] for i in keep],
     )
     return ManifoldRecord(
         name=f"{m.name}_L0[{torus_label}]",
@@ -587,7 +562,7 @@ def _zero_log_transform(m: ManifoldRecord, torus_label: str) -> ManifoldRecord:
         basis=tuple(m.basis[i] for i in keep),
         sw=None,
         sw_reason="untracked (zero log transform)",
-        marks=marks,
+        marks=tuple(marks),
         flags=m.flags,
     )
 
@@ -618,11 +593,14 @@ def connected_sum(a: ManifoldRecord, b: ManifoldRecord) -> ManifoldRecord:
     else:
         sw, sw_reason = None, "untracked (connected sum)"
 
-    marks = [_carry(old, lambda cls: cls + (0,) * b.form.n) for old in a.marks]
-    b_marks, b_rel = _carry_other_side(
-        a, b, lambda cls: (0,) * a.form.n + cls, (b.pi1, offset, pi1.generators)
+    labels = _labels_beside(a, [old.label for old in b.marks])
+    marks = _carry(a.marks, lambda cls: cls + (0,) * b.form.n)
+    marks += _carry(
+        b.marks,
+        lambda cls: (0,) * a.form.n + cls,
+        words=(b.pi1, offset, pi1.generators),
+        changes={old: {"label": new} for old, new in labels.items()},
     )
-    marks += b_marks
     step = {
         "op": "connected_sum",
         "other_trace": list(b.trace),
@@ -638,7 +616,7 @@ def connected_sum(a: ManifoldRecord, b: ManifoldRecord) -> ManifoldRecord:
         sw=sw,
         sw_reason=sw_reason,
         marks=tuple(marks),
-        rel_tori=_rel_tori(sw, marks, {*a.rel_tori, *b_rel}),
+        rel_tori=_rel_tori(sw, marks, {*a.rel_tori, *(labels[l] for l in b.rel_tori)}),
         flags=a.flags | b.flags,
         trace=a.trace + (step,),
     )
@@ -837,8 +815,7 @@ def mandelbaum_gompf_hypotheses(
         return "spin", None
     if mark.homology_class is None:
         raise SurgeryError("glued torus needs a homology class for the witness hunt")
-    i = _basis_index_of_class(x, mark)
-    j = _hyperbolic_partner(x.form, i)
+    i, j = _glue_pair(x.form, mark)
     try:
         witness = find_nonspin_witness(
             x.form, unit_vector(x.form.n, i), unit_vector(x.form.n, j)

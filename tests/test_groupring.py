@@ -63,16 +63,18 @@ def test_invert_vars_is_involutive():
 
 
 def test_substitute_hom_rows_are_target_coordinates():
-    # x1 -> y1 + 2 y2, x2 -> -y1 (matrix rows are target coordinates)
+    # x1 -> y1 + 2 y2, x2 -> -y1: each entry of the image of (e1, e2) is one
+    # target coordinate, (e1 - e2, 2 e1)
     a = _elem(2, {(1, 0): 1, (0, 1): 1})
-    image = a.substitute_hom([[1, -1], [2, 0]])
+    image = a.substitute_hom(lambda e: [e[0] - e[1], 2 * e[0]], 2)
     assert image == _elem(2, {(1, 2): 1, (-1, 0): 1})
 
 
 def test_substitute_hom_row_length_checked():
+    # a moved exponent must have nvars coordinates
     a = _elem(2, {(1, 0): 1})
     with pytest.raises(ValueError):
-        a.substitute_hom([[1], [0]])
+        a.substitute_hom(lambda e: [e[0]], 2)
 
 
 def test_evaluate_at_one():
@@ -223,6 +225,11 @@ def _assert_canonical(x: GroupRingElement) -> None:
     assert GroupRingElement(x.nvars, x.terms) == x
 
 
+def _matrix_map(matrix):
+    # e -> matrix @ e, the rows being target coordinates
+    return lambda e: [sum(m * x for m, x in zip(row, e)) for row in matrix]
+
+
 @st.composite
 def pushforwards(draw):
     # an s x nvars matrix built column by column: zero, one nonzero, or several
@@ -248,10 +255,24 @@ def test_substitute_hom_matches_dense_reference(case):
     for e, c in a.terms:
         key = tuple(sum(row[j] * e[j] for j in range(a.nvars)) for row in matrix)
         dense[key] = dense.get(key, 0) + c
-    image = a.substitute_hom(matrix)
+    image = a.substitute_hom(_matrix_map(matrix), len(matrix))
     assert image.nvars == len(matrix)
     assert dict(image.terms) == {e: c for e, c in dense.items() if c}
     _assert_canonical(image)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_substitute_hom_is_a_ring_homomorphism(data):
+    b, matrix = data.draw(pushforwards())
+    a = data.draw(elements(b.nvars))
+    move = _matrix_map(matrix)
+
+    def f(x):
+        return x.substitute_hom(move, len(matrix))
+
+    assert f(a * b) == f(a) * f(b)
+    assert f(a + b) == f(a) + f(b)
 
 
 @settings(max_examples=150)

@@ -173,6 +173,49 @@ def test_gluing_routes_are_pinned(route):
     assert digest == ROUTE_SHA256[route]
 
 
+def _carry_cases():
+    def log_transforms(*labels):
+        record = product_T2_Sigma_g(2)
+        for label in labels:
+            record = surgery._zero_log_transform(record, label)
+        return record
+
+    return {
+        "zero log transform xa1": lambda: log_transforms("xa1"),
+        "zero log transform xa1 then xb1": lambda: log_transforms("xa1", "xb1"),
+        "nullhomotopic loop surgery": lambda: loop_surgery(
+            even_base(), "c1", word="1", nullhomotopic=True
+        ),
+        "twist knot surgery": lambda: knot_surgery(
+            even_base(), "T1", twist_knot_family(2)[1]
+        ),
+    }
+
+
+# sha256 of compact_json(record_to_json(r)), taken with Python 3.11
+CARRY_SHA256 = {
+    "zero log transform xa1": (
+        "da8778fb2db9e9db4f35ba35962e413413f904c6060397addd432316f80efee9"
+    ),
+    "zero log transform xa1 then xb1": (
+        "ec7cb0eea9fa07518715cbc757d92bcc4596b1491702a7a78a695685c83d0186"
+    ),
+    "nullhomotopic loop surgery": (
+        "68ddf402d3729723e8677fe234024e235919ff30f8a99409b9dd3e8d0cbad1bd"
+    ),
+    "twist knot surgery": "e53e670307ed47330964d02c5d2a0f572c3313536daa4adefe3cfd74a3d589f6",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CARRY_SHA256))
+def test_carried_marks_are_pinned(case):
+    # marks that no command prints, such as those the lemma suite's zero log
+    # transforms leave behind, pinned byte for byte with the rest of the record
+    record = _carry_cases()[case]()
+    digest = hashlib.sha256(compact_json(record_to_json(record)).encode()).hexdigest()
+    assert digest == CARRY_SHA256[case]
+
+
 def test_stored_framing_pairing_fails_replay():
     # a fiber-sum step always stores a null framing pairing, so a report
     # that declares one, even the marks' own, does not replay to itself
