@@ -1,8 +1,10 @@
 """Recipe reports and their replays, pinned byte for byte by sha256.
 
-Three configurations are pinned: the README's (the even base under a free
-group block), the odd base under the genus-1 product block, and a run that
-fails its SW check because two knots share a braid.
+Four configurations are pinned: the README's (the even base under a free
+group block), the bench configuration (the even base under the rank-4 free
+block over eleven twist knots), the odd base under the genus-1 product
+block, and a run that fails its SW check because two knots share a braid.
+So are the outputs of `verify lemmas` and `blocks`, which no report holds.
 
 For a fixed configuration a report stays byte-identical unless the report
 format is bumped on purpose, so a change that moves a digest changes what
@@ -10,6 +12,9 @@ the README commands give their users.  The digests were taken with
 Python 3.11.
 """
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from exolink.cli import main
@@ -26,6 +31,11 @@ ODD_VERIFY_TRACE_SHA256 = "f971442a726289f4e29bad3422fbdf0284f08a54eb7f2914efbbd
 FAILING_KNOTS = "u=1:; k=2: s1^3; k2=2: s1^3"
 FAILING_REPORT_SHA256 = "53e70e8324a5da3db600395103078b987dd416403ca3f8f95fd5bd3937bddbf2"
 FAILING_VERIFY_TRACE_SHA256 = "81fecfcbb436c0904df1dd936cda737fd12c7557133662f0ef6362398d5f0801"
+# recipe run --spec fixtures/M_even.json --group free:4 --knots twist:0..10
+BENCH_REPORT_SHA256 = "34e68d8e1eb85293cc7884c0faa3955f9f75373b39aec10beb1da8edf22d3206"
+BENCH_VERIFY_TRACE_SHA256 = "fe5fd495d2a8b4b085798f4b3b14bcc240c5615f7550134965b2188696018e95"
+LEMMAS_GMAX3_SHA256 = "eb7506d92668c068cb05ad16f7dd51f3798fff3e0dd7d73b3000fa4b7562862a"
+BLOCKS_SHA256 = "9c8357d6fb97b077621f85d2cb35c239fe8483f282334af24ddb830ea18dad1f"
 
 
 def _sha256(data: bytes) -> str:
@@ -83,3 +93,44 @@ def test_readme_report_ignores_the_environment(tmp_path, monkeypatch, capsys):
     # report saying so
     monkeypatch.setenv("EXOLINK_TIETZE_BUDGET", "1")
     assert _sha256(_readme_report(tmp_path).read_bytes()) == REPORT_SHA256
+
+
+def test_bench_configuration_digests(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    spec = REPO_ROOT / "fixtures" / "M_even.json"
+    argv = ["recipe", "run", "--spec", str(spec), "--group", "free:4", "--knots", "twist:0..10"]
+    assert main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _sha256(out.read_bytes()) == BENCH_REPORT_SHA256
+    assert main(["verify-trace", str(out)]) == 0
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == BENCH_VERIFY_TRACE_SHA256
+
+
+def test_lemma_suite_and_blocks_digests(capsys):
+    assert main(["verify", "lemmas", "--gmax", "3"]) == 0
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == LEMMAS_GMAX3_SHA256
+    assert main(["blocks"]) == 0
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == BLOCKS_SHA256
+
+
+def test_readme_report_ignores_the_hash_seed():
+    # string hashing is salted per process; no set or dict order may reach
+    # the report, so two seeds print one report
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    spec = REPO_ROOT / "fixtures" / "M_even.json"
+    argv = ["recipe", "run", "--spec", str(spec), "--group", "free:2", "--knots", "twist:0..4"]
+    digests = set()
+    for seed in ("0", "1"):
+        env["PYTHONHASHSEED"] = seed
+        proc = subprocess.run(
+            [sys.executable, "-m", "exolink.cli", *argv],
+            capture_output=True,
+            env=env,
+            timeout=120,
+            check=True,
+        )
+        digests.add(_sha256(proc.stdout))
+    assert digests == {REPORT_SHA256}
