@@ -229,7 +229,7 @@ class ManifoldRecord:
         for m in self.marks:
             if m.label == label:
                 return m
-        raise KeyError(f"no mark labeled {label!r} in {self.name}")
+        raise ValueError(f"no mark labeled {label!r} in {self.name}")
 
     def rel_factor(self, label: str) -> GroupRingElement:
         """The relative Seiberg-Witten factor of torus ``label``: sw * (t^-[T] - t^[T])."""
@@ -346,6 +346,20 @@ def object_key(text: str) -> str:
     return sha256(text.encode()).hexdigest()
 
 
+def _map_step(step, trace, spec) -> dict:
+    """A copy of ``step``, its ``other_trace`` mapped by ``trace`` and a base
+    step's ``spec`` by ``spec``: the step fields an `ObjectStore` keys."""
+    if not isinstance(step, dict):
+        raise ValueError("a trace step is not an object")
+    step = dict(step)
+    if "other_trace" in step:
+        step["other_trace"] = trace(step["other_trace"])
+    args = step.get("args")
+    if step.get("op") == "base" and isinstance(args, dict) and "spec" in args:
+        step["args"] = {**args, "spec": spec(args["spec"])}
+    return step
+
+
 class ObjectStore:
     """A content-addressed table of JSON values: the storage of v2 and v3 reports.
 
@@ -408,12 +422,7 @@ class ObjectStore:
         rendering."""
         hit = self._steps.get(id(step))
         if hit is None:
-            stored = dict(step)
-            if "other_trace" in stored:
-                stored["other_trace"] = self.put_trace(stored["other_trace"])
-            args = stored.get("args")
-            if stored.get("op") == "base" and isinstance(args, dict) and "spec" in args:
-                stored["args"] = {**args, "spec": self.put(args["spec"])}
+            stored = _map_step(step, self.put_trace, self.put)
             # holding ``step`` keeps its id from being reused
             hit = self._steps[id(step)] = (step, stored, compact_json(stored))
         return hit[1], hit[2]
@@ -451,20 +460,9 @@ class ObjectStore:
                 raise ValueError(f"object {key} is not a trace")
             parent = node.get("parent")
             steps = [] if parent is None else self.trace(parent)
-            steps += [self._read_step(step) for step in node["steps"]]
+            steps += [_map_step(step, self.trace, self.get) for step in node["steps"]]
             self._expanded[key] = steps
         return list(steps)
-
-    def _read_step(self, step) -> dict:
-        if not isinstance(step, dict):
-            raise ValueError("a trace step is not an object")
-        step = dict(step)
-        if "other_trace" in step:
-            step["other_trace"] = self.trace(step["other_trace"])
-        args = step.get("args")
-        if step.get("op") == "base" and isinstance(args, dict) and "spec" in args:
-            step["args"] = {**args, "spec": self.get(args["spec"])}
-        return step
 
     def record(self, key) -> dict:
         """The record stored under ``key``, in its `record_to_json` form."""
@@ -829,11 +827,10 @@ def admissible_from_spec(spec_text: str) -> ManifoldRecord:
     )
 
 
+# constructor -> (the function, the base step's args it takes: name -> JSON type)
 BASE_CONSTRUCTORS = {
-    "standard_block": lambda args: standard_block(args["name"]),
-    "product_T2_Sigma_g": lambda args: product_T2_Sigma_g(args["g"]),
-    "kodaira_thurston_block": lambda args: kodaira_thurston_block(args["g"]),
-    "admissible_from_spec": lambda args: admissible_from_spec(
-        json.dumps(args["spec"])
-    ),
+    "standard_block": (standard_block, {"name": str}),
+    "product_T2_Sigma_g": (product_T2_Sigma_g, {"g": int}),
+    "kodaira_thurston_block": (kodaira_thurston_block, {"g": int}),
+    "admissible_from_spec": (lambda spec: admissible_from_spec(json.dumps(spec)), {"spec": dict}),
 }

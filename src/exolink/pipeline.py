@@ -973,8 +973,9 @@ def verify_trace_report(report: dict, step: int | None = None) -> dict:
     the record, when a record, its trace or a trace step is not the JSON
     shape a report writes, or a key names no object.  A record that
     reaches an object whose content does not hash to its key is not
-    replayed; the key is named in that record's ``error`` entry, as is a
-    wrong-typed or missing field inside a step.
+    replayed; the key is named in that record's ``error`` entry, as is the
+    ValueError of a replay (a malformed step names its op and field, see
+    `_replay_step`).  Any other exception of a replay is a program fault.
     """
     if step is not None and step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
@@ -1010,7 +1011,7 @@ def verify_trace_report(report: dict, step: int | None = None) -> dict:
             else:
                 entry["replayed_steps"] = min(step, len(trace))
                 entry["invariants"] = invariant_tuple(rebuilt)
-        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        except ValueError as exc:
             entry["error"] = str(exc)
             entry["identical"] = False
         results[name] = entry

@@ -38,6 +38,7 @@ from .manifold import (
     BASE_CONSTRUCTORS,
     ManifoldRecord,
     MarkedSubmanifold,
+    _typed,
     compact_json,
     invariant_tuple,
     simplifies_trivial,
@@ -534,9 +535,8 @@ def _zero_log_transform(m: ManifoldRecord, torus_label: str) -> ManifoldRecord:
     The regluing sends the meridian to the pushoff of the torus direction
     named by the mark's second word, so the group is quotiented by that
     word, the torus and its hyperbolic dual leave the second homology,
-    and the Euler characteristic is unchanged.  Lemma-suite scaffolding:
-    the result is rebuilt as a fresh record (no trace step), used only
-    for invariant-level comparisons.
+    and the Euler characteristic is unchanged.  Its step names the torus,
+    so the lemma suite's records, which use it, replay like any other.
     """
     mark = m.mark(torus_label)
     if mark.kind != "torus":
@@ -554,16 +554,17 @@ def _zero_log_transform(m: ManifoldRecord, torus_label: str) -> ManifoldRecord:
         ],
         lambda cls: [cls[i] for i in keep],
     )
-    return ManifoldRecord(
+    return replace(
+        m,
         name=f"{m.name}_L0[{torus_label}]",
         pi1=m.pi1.quotient_by_normal_closure([m.pi1.word(mark.pi1_words[1])]),
-        euler=m.euler,
         form=IntSymMatrix(tuple(tuple(m.form.entry(i, j) for j in keep) for i in keep)),
         basis=tuple(m.basis[i] for i in keep),
         sw=None,
         sw_reason="untracked (zero log transform)",
         marks=tuple(marks),
-        flags=m.flags,
+        rel_tori=frozenset(),
+        trace=m.trace + ({"op": "zero_log_transform", "torus": torus_label},),
     )
 
 
@@ -662,7 +663,7 @@ def build_from_trace(trace, memo: ReplayTrie | None = None) -> ManifoldRecord:
     a real check.
     """
     steps = list(trace)
-    if not steps or steps[0].get("op") != "base":
+    if not steps:
         raise ValueError("trace must start with a base constructor step")
     if memo is None:
         memo = ReplayTrie()
@@ -676,71 +677,93 @@ def build_from_trace(trace, memo: ReplayTrie | None = None) -> ManifoldRecord:
     return record
 
 
-def _replay_step(record: ManifoldRecord | None, step: dict, memo: ReplayTrie) -> ManifoldRecord:
-    """``record`` after one trace step; ``None`` stands before the base step."""
-    if record is None:
-        ctor = step.get("constructor")
-        if ctor not in BASE_CONSTRUCTORS:
-            raise ValueError(f"unknown base constructor {ctor!r}")
-        return BASE_CONSTRUCTORS[ctor](step.get("args", {}))
-    op = step.get("op")
-    if op == "knot_surgery":
-        knot = KnotRecord.from_braid(step["knot"]["name"], step["knot"]["braid"])
-        return knot_surgery(record, step["torus"], knot)
-    if op == "fiber_sum":
-        other = build_from_trace(step["other_trace"], memo=memo)
-        return fiber_sum(record, step["torus"], other, step["other_torus"])
-    if op == "loop_surgery":
-        return loop_surgery(
-            record,
-            step["loop"],
-            word=step.get("word"),
-            nullhomotopic=step.get("nullhomotopic", False),
-        )
-    if op == "connected_sum":
-        return connected_sum(record, build_from_trace(step["other_trace"], memo=memo))
-    if op == "note":
-        return replace(record, trace=record.trace + (step,))
-    raise ValueError(f"unknown trace op {op!r}")
+def _replay_base(_record, _step, constructor: str, args: dict) -> ManifoldRecord:
+    if constructor not in BASE_CONSTRUCTORS:
+        raise ValueError(f"unknown base constructor {constructor!r}")
+    build, fields = BASE_CONSTRUCTORS[constructor]
+    return build(**_step_fields("base", args, fields))
+
+
+# op -> (its replay, the step fields the replay reads: name -> exact JSON type,
+# or the fields of a nested object).  A replay takes the record so far, the
+# step and those fields in order, with ``other_trace`` already replayed.
+_REPLAY = {
+    "base": (_replay_base, {"constructor": str, "args": dict}),
+    "knot_surgery": (
+        lambda m, _, torus, knot: knot_surgery(m, torus, KnotRecord.from_braid(**knot)),
+        {"torus": str, "knot": {"name": str, "braid": str}},
+    ),
+    "fiber_sum": (
+        lambda m, _, *f: fiber_sum(m, *f),
+        {"torus": str, "other_trace": list, "other_torus": str},
+    ),
+    "loop_surgery": (
+        lambda m, _, *f: loop_surgery(m, *f),
+        {"loop": str, "word": str, "nullhomotopic": bool},
+    ),
+    "zero_log_transform": (lambda m, _, torus: _zero_log_transform(m, torus), {"torus": str}),
+    "connected_sum": (lambda m, _, other: connected_sum(m, other), {"other_trace": list}),
+    "note": (lambda m, step: replace(m, trace=m.trace + (step,)), {}),
+}
+
+
+def _step_fields(op: str, data: dict, fields: dict) -> dict:
+    """``fields`` (see `_REPLAY`) read from ``data``, a step of ``op`` or an object in it."""
+    values = {}
+    for name, kind in fields.items():
+        try:
+            value = _typed(data, name, dict if isinstance(kind, dict) else kind)
+        except KeyError as exc:
+            raise ValueError(f"{op} step: missing field {name!r}") from exc
+        except TypeError as exc:
+            raise ValueError(f"{op} step: {exc}") from exc
+        values[name] = _step_fields(op, value, kind) if isinstance(kind, dict) else value
+    return values
+
+
+def _replay_step(record: ManifoldRecord | None, step, memo: ReplayTrie) -> ManifoldRecord:
+    """``record`` after one trace step; ``None`` stands before the base step.
+
+    The step replays through its op's row of `_REPLAY`, whose fields are all
+    read before the operation runs.  A step that is not an object, names no
+    known op, is a base step but not the first, or has a field missing or
+    of the wrong type raises one ValueError naming the op and the field;
+    what the operation raises passes through as is.
+    """
+    if not isinstance(step, dict):
+        raise ValueError(f"a trace step must be an object, got {type(step).__name__}")
+    op = _step_fields("trace", step, {"op": str})["op"]
+    if op not in _REPLAY:
+        raise ValueError(f"unknown trace op {op!r}")
+    if (op == "base") != (record is None):
+        raise ValueError(f"{op} step: a trace has one base step, its first")
+    replay, fields = _REPLAY[op]
+    values = _step_fields(op, step, fields)
+    if "other_trace" in values:
+        values["other_trace"] = build_from_trace(values["other_trace"], memo=memo)
+    return replay(record, step, *values.values())
 
 
 # -- literature rewrite rules ----------------------------------------------------
 
 
-def _find_knot_step(trace) -> tuple[int, ...] | None:
-    """Path to the first knot_surgery step: top-level first, then embedded."""
-    for i, step in enumerate(trace):
+def _without_knot_step(trace) -> tuple[int, tuple, dict] | None:
+    """(index of the top-level step that holds the first knot_surgery step,
+    ``trace`` without that step, the step), top level first, then nested;
+    only the steps that contain it are rebuilt, the others are shared."""
+    steps = list(trace)
+    for i, step in enumerate(steps):
         if step.get("op") == "knot_surgery":
-            return (i,)
-    for i, step in enumerate(trace):
-        sub = step.get("other_trace")
-        if sub is not None:
-            path = _find_knot_step(sub)
-            if path is not None:
-                return (i,) + path
+            return i, tuple(steps[:i] + steps[i + 1 :]), step
+    for i, step in enumerate(steps):
+        found = _without_knot_step(step.get("other_trace", ()))
+        if found is not None:
+            steps[i] = {**step, "other_trace": list(found[1])}
+            return i, tuple(steps), found[2]
     return None
 
 
-def _is_s2xs2_trace(trace) -> bool:
-    return (
-        len(trace) == 1
-        and trace[0].get("op") == "base"
-        and trace[0].get("constructor") == "standard_block"
-        and trace[0].get("args", {}).get("name") == "S2xS2"
-    )
-
-
-def _remove_at(trace, path):
-    """``trace`` without the step at ``path``, and that step.  Only the steps
-    that contain it are rebuilt; every other step object is shared."""
-    steps = list(trace)
-    if len(path) == 1:
-        removed = steps.pop(path[0])
-        return tuple(steps), removed
-    head = path[0]
-    sub, removed = _remove_at(steps[head]["other_trace"], path[1:])
-    steps[head] = {**steps[head], "other_trace": list(sub)}
-    return tuple(steps), removed
+_S2XS2_TRACE = [{"op": "base", "constructor": "standard_block", "args": {"name": "S2xS2"}}]
 
 
 def dissolve_knot_surgery_after_stabilization(
@@ -760,15 +783,15 @@ def dissolve_knot_surgery_after_stabilization(
     prefix is replayed once for every knot dissolved from the same record.
     The rebuilt trace shares every step object off the knot step's path.
     """
-    path = _find_knot_step(m.trace)
-    if path is None:
+    found = _without_knot_step(m.trace)
+    if found is None:
         for step in m.trace:
             if step.get("op") == "note" and step.get("event") == "dissolved_knot_surgery":
                 return m
         raise SurgeryError("no knot surgery step in the trace; nothing to dissolve")
-    container = path[0]
+    container, new_trace, removed = found
     stabilized = any(
-        step.get("op") == "connected_sum" and _is_s2xs2_trace(step["other_trace"])
+        step.get("op") == "connected_sum" and step["other_trace"] == _S2XS2_TRACE
         for step in m.trace[container + 1 :]
     )
     if not stabilized:
@@ -776,7 +799,6 @@ def dissolve_knot_surgery_after_stabilization(
             "knot surgery present but no later S2xS2 stabilization; the "
             "dissolution rule does not apply"
         )
-    new_trace, removed = _remove_at(m.trace, path)
     note = {
         "op": "note",
         "event": "dissolved_knot_surgery",

@@ -16,6 +16,7 @@ from exolink.cli import main
 from exolink.knots import twist_knot_family
 from exolink.manifold import ObjectStore, compact_json
 from exolink.pipeline import RecipeConfig, run_recipe
+from exolink.surgery import build_from_trace
 from specs import spec_text
 from test_report_golden import VERIFY_TRACE_SHA256
 
@@ -257,6 +258,54 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path, command):
     assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
+_BASE = {"op": "base", "constructor": "standard_block", "args": {"name": "T2xS2"}}
+_KNOT = {"op": "knot_surgery", "torus": "T", "knot": {"name": "u", "braid": "1:"}}
+_FIBER = {"op": "fiber_sum", "torus": "T", "other_trace": [_BASE], "other_torus": "T"}
+_LOOP = {"op": "loop_surgery", "loop": "c", "word": "1", "nullhomotopic": True}
+
+
+def _without(step: dict, field: str) -> dict:
+    return {key: value for key, value in step.items() if key != field}
+
+
+# case -> (a trace with one malformed step, what its error must name)
+MALFORMED_STEPS = {
+    "args a list": ([{**_BASE, "args": []}], "base step: 'args' must be dict, got list"),
+    "args.name an int": (
+        [{**_BASE, "args": {"name": 5}}],
+        "base step: 'name' must be str, got int",
+    ),
+    "knot missing": ([_BASE, _without(_KNOT, "knot")], "knot_surgery step: missing field 'knot'"),
+    "knot a list": (
+        [_BASE, {**_KNOT, "knot": []}],
+        "knot_surgery step: 'knot' must be dict, got list",
+    ),
+    "knot braid an int": (
+        [_BASE, {**_KNOT, "knot": {"name": "u", "braid": 5}}],
+        "knot_surgery step: 'braid' must be str, got int",
+    ),
+    "torus unknown": ([_BASE, {**_KNOT, "torus": "nope"}], "no mark labeled 'nope'"),
+    "torus an int": ([_BASE, {**_KNOT, "torus": 1}], "knot_surgery step: 'torus' must be str"),
+    "other_trace missing": (
+        [_BASE, _without(_FIBER, "other_trace")],
+        "fiber_sum step: missing field 'other_trace'",
+    ),
+    "other_trace a dict": (
+        [_BASE, {**_FIBER, "other_trace": {}}],
+        "fiber_sum step: 'other_trace' must be list, got dict",
+    ),
+    "other_trace a string": (
+        [_BASE, {**_FIBER, "other_trace": "x"}],
+        "fiber_sum step: 'other_trace' must be list, got str",
+    ),
+    "loop missing": ([_BASE, _without(_LOOP, "loop")], "loop_surgery step: missing field 'loop'"),
+    "loop an int": ([_BASE, {**_LOOP, "loop": 1}], "loop_surgery step: 'loop' must be str"),
+    "word an int": ([_BASE, {**_LOOP, "word": 1}], "loop_surgery step: 'word' must be str"),
+    "op missing": ([_BASE, _without(_LOOP, "op")], "trace step: missing field 'op'"),
+    "op unknown": ([_BASE, {"op": "bogus"}], "unknown trace op 'bogus'"),
+}
+
+
 def test_verify_trace_bad_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["verify-trace", str(missing)]) == 2
@@ -284,20 +333,26 @@ def test_verify_trace_bad_file_exits_2(tmp_path, capsys):
         assert main(["verify-trace", str(malformed)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and named in err and "Traceback" not in err
-    # a wrong-typed field inside a step is that record's error, not a crash
-    base = {"op": "base", "constructor": "standard_block", "args": []}
-    malformed.write_text(json.dumps({"records": {"a": {"trace": [base]}}}), encoding="utf-8")
-    assert main(["verify-trace", str(malformed)]) == 1
-    result = json.loads(capsys.readouterr().out)
-    assert result["pass"] is False and "error" in result["records"]["a"]
-    # an op the replay engine does not know fails that record after a valid base
-    base = {"op": "base", "constructor": "standard_block", "args": {"name": "S4"}}
-    steps = [base, {"op": "bogus"}]
-    malformed.write_text(json.dumps({"records": {"a": {"trace": steps}}}), encoding="utf-8")
-    assert main(["verify-trace", str(malformed)]) == 1
-    result = json.loads(capsys.readouterr().out)
-    assert result["pass"] is False
-    assert "unknown trace op 'bogus'" in result["records"]["a"]["error"]
+    # a malformed step is that record's error, naming its op and field (or
+    # the mark label), not a crash
+    for steps, named in MALFORMED_STEPS.values():
+        malformed.write_text(json.dumps({"records": {"a": {"trace": steps}}}), encoding="utf-8")
+        assert main(["verify-trace", str(malformed)]) == 1
+        captured = capsys.readouterr()
+        result = json.loads(captured.out)
+        assert result["pass"] is False
+        assert named in result["records"]["a"]["error"]
+        assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_STEPS))
+def test_malformed_step_raises_value_error(case):
+    # exit 1 alone cannot tell ValueError from the KeyError, TypeError or
+    # AttributeError a replay raised before its fields were typed
+    steps, named = MALFORMED_STEPS[case]
+    with pytest.raises(ValueError) as failure:
+        build_from_trace(steps)
+    assert named in str(failure.value)
 
 
 def test_report_render_human_summary(tmp_path, capsys):

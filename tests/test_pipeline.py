@@ -20,8 +20,14 @@ from exolink.pipeline import (
     verify_lemma_suite,
     verify_trace_report,
 )
-from exolink.manifold import ObjectStore, canonical_json, compact_json, record_from_json
-from exolink.surgery import ReplayTrie
+from exolink.manifold import (
+    ObjectStore,
+    canonical_json,
+    compact_json,
+    record_from_json,
+    record_to_json,
+)
+from exolink.surgery import ReplayTrie, build_from_trace
 from specs import spec_text
 
 
@@ -191,6 +197,25 @@ def test_partition_validator_flags_synthetic_violations():
 def test_validator_accepts_real_report():
     report = run_recipe(make_config(2))
     assert validate_certificate_partition(report) == []
+
+
+def test_every_lemma_suite_record_replays(monkeypatch):
+    # the records the suite compares, the zero log transforms' among them,
+    # rebuild byte for byte from their traces
+    compared = []
+    real = pipeline.invariant_tuple
+
+    def collect(record):
+        compared.append(record)
+        return real(record)
+
+    monkeypatch.setattr(pipeline, "invariant_tuple", collect)
+    assert verify_lemma_suite(3)["pass"]
+    assert len(compared) == 36
+    memo = ReplayTrie()
+    for record in compared:
+        rebuilt = build_from_trace(record.trace, memo=memo)
+        assert compact_json(record_to_json(rebuilt)) == compact_json(record_to_json(record))
 
 
 def test_lemma_suite_green_and_catches_corruption():

@@ -77,13 +77,16 @@ def test_shared_trie_replays_like_no_trie_in_any_order(order, prefixes):
 
 
 def test_knot_step_left_in_the_dissolved_trace_fails_brunnian(monkeypatch):
-    real = surgery._remove_at
+    real = surgery._without_knot_step
 
-    def keep_knot_step(trace, path):
-        _, removed = real(trace, path)
-        return tuple(dict(s) for s in trace), removed
+    def keep_knot_step(trace):
+        found = real(trace)
+        if found is None:
+            return None
+        index, _, removed = found
+        return index, tuple(dict(s) for s in trace), removed
 
-    monkeypatch.setattr(surgery, "_remove_at", keep_knot_step)
+    monkeypatch.setattr(surgery, "_without_knot_step", keep_knot_step)
     with pytest.raises(CertificateError) as failure:
         run_recipe(_config(SMALL_FAMILY))
     failed = [c["id"] for c in failure.value.report["checks"] if not c["pass"]]
