@@ -17,11 +17,10 @@ import sys
 from .groupring import format_univariate
 from .knots import alexander_poly, parse_braid
 from .manifold import (
+    GROUP_BLOCKS,
     STANDARD_BLOCKS,
     canonical_json,
     invariant_tuple,
-    kodaira_thurston_block,
-    product_T2_Sigma_g,
     standard_block,
 )
 from .pipeline import (
@@ -51,24 +50,18 @@ def _cmd_knots_poly(args: argparse.Namespace) -> int:
 
 
 def _cmd_blocks(_args: argparse.Namespace) -> int:
+    parametric = {}
+    for block in GROUP_BLOCKS.values():
+        parametric[block.constructor] = {
+            "parameter": "g >= 1",
+            "example_g1": invariant_tuple(block.build(1)),
+            "description": block.description,
+        }
     payload = {
         "standard": {
             name: invariant_tuple(standard_block(name)) for name in STANDARD_BLOCKS
         },
-        "parametric": {
-            "kodaira_thurston_block": {
-                "parameter": "g >= 1",
-                "example_g1": invariant_tuple(kodaira_thurston_block(1)),
-                "description": "free-quotient block: killing the torus "
-                "directions leaves a free group of rank g",
-            },
-            "product_T2_Sigma_g": {
-                "parameter": "g >= 1",
-                "example_g1": invariant_tuple(product_T2_Sigma_g(1)),
-                "description": "surface-quotient block: killing the torus "
-                "directions leaves the genus-g surface group",
-            },
-        },
+        "parametric": parametric,
     }
     print(canonical_json(payload))
     return 0

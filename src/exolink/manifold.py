@@ -19,6 +19,7 @@ is what catches most bookkeeping mistakes in the surgery rules.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 
 # The interpreter's own sha256: importing hashlib would load OpenSSL, which
@@ -484,7 +485,7 @@ class ObjectStore:
         return data
 
 
-# -- standard blocks -------------------------------------------------------------
+# -- blocks ----------------------------------------------------------------------
 
 
 # The small closed blocks the calculus keeps on the shelf, by name: S4,
@@ -536,88 +537,114 @@ def standard_block(name: str) -> ManifoldRecord:
     )
 
 
+@dataclass(frozen=True)
+class GroupBlock:
+    """A bundle block B_G over a genus-g surface, one row of `GROUP_BLOCKS`.
+
+    H_2 has the basis T, ``dual`` and, for each handle i, the classes of
+    ``handle_classes`` with the suffix i, in hyperbolic pairs in that order.
+    The class xa is the torus spanned by x and a_i; loop letter b marks b_i.
+    """
+
+    constructor: str  # the library function, named in the base step
+    name: str  # the record's name, before g
+    dual: str  # the dual of T
+    handle_classes: tuple[str, ...]  # one handle's H_2 classes, in basis order
+    lagrangian: tuple[str, ...]  # those of them marked as Lagrangian tori
+    loop_letters: tuple[str, ...]  # the handle directions marked as loops
+    framings: tuple[str, str]  # the framing tags of T and of the loops
+    torus_complement: bool  # whether T carries the model of its complement
+    group: Callable[[int], GroupPresentation]
+    description: str  # what `blocks` says of the block
+
+    def loop_labels(self, g: int) -> tuple[str, ...]:
+        """The loop marks in the order the recipe surgers them: letter-major."""
+        labels = []
+        for letter in self.loop_letters:
+            for i in range(1, g + 1):
+                labels.append(f"loop_{letter}{i}")
+        return tuple(labels)
+
+    def build(self, g: int) -> ManifoldRecord:
+        """The block over a genus-g surface, fully marked: T, then the
+        Lagrangian tori and the loops, each handle-major.
+
+        The closed Seiberg-Witten element is (t^-1 - t)^(2g-2) in the
+        variable of [T], with relative factor (t^-1 - t)^(2g-1) attached to
+        T for the gluing rule, so iterated fiber sums of the g = 1 block
+        reproduce the g > 1 blocks at the tracked-invariant level; the
+        exponent bookkeeping of those two seeds is exactly what the
+        fiber-sum composition test pins down.
+        """
+        if g < 1:
+            raise ValueError("g must be >= 1")
+        b2 = 2 + g * len(self.handle_classes)
+        pi1 = self.group(g)
+        complement = None
+        if self.torus_complement:
+            complement_pres = GroupPresentation(pi1.generators, pi1.relators[:-1])
+            complement = (complement_pres.to_text(), word_to_text(pi1.relators[-1], pi1.generators))
+        basis = ["T", self.dual]
+        marks = [
+            MarkedSubmanifold(
+                kind="torus", label="T", homology_class=unit_vector(b2, 0), pi1_words=("x", "y"),
+                framing=self.framings[0], flags=frozenset({"self_intersection_zero", "symplectic"}),
+                complement=complement,
+            )
+        ]
+        for i in range(1, g + 1):
+            for c in self.handle_classes:
+                if c in self.lagrangian:
+                    torus = MarkedSubmanifold(
+                        kind="torus", label=f"{c}{i}", homology_class=unit_vector(b2, len(basis)),
+                        pi1_words=(c[0], f"{c[1]}{i}"), framing="lagrangian",
+                        flags=frozenset({"self_intersection_zero", "lagrangian"}),
+                    )
+                    marks.append(torus)
+                basis.append(f"{c}{i}")
+        for i in range(1, g + 1):
+            for letter in self.loop_letters:
+                loop = MarkedSubmanifold(
+                    kind="loop", label=f"loop_{letter}{i}", homology_class=None,
+                    pi1_words=(f"{letter}{i}",), framing=self.framings[1],
+                )
+                marks.append(loop)
+        return ManifoldRecord(
+            name=f"{self.name}{g}", pi1=pi1, euler=0, basis=tuple(basis),
+            form=direct_sum(*([hyperbolic_pair()] * (b2 // 2))),
+            sw=u_factor(b2, unit_vector(b2, 0)) ** (2 * g - 2), sw_reason="tracked",
+            marks=tuple(marks), rel_tori=frozenset({"T"}),
+            trace=({"op": "base", "constructor": self.constructor, "args": {"g": g}},),
+        )
+
+
+# The group blocks, by the 2-link group the recipe gets: free or a surface group.
+GROUP_BLOCKS = {
+    "free": GroupBlock(
+        constructor="kodaira_thurston_block", name="N", dual="F",
+        handle_classes=("xb", "ya"), lagrangian=("xb",), loop_letters=("b",),
+        framings=("symplectic", "lagrangian"), torus_complement=False, group=pi1_Ng,
+        description="free-quotient block: killing the torus directions leaves a "
+        "free group of rank g",
+    ),
+    "surface": GroupBlock(
+        constructor="product_T2_Sigma_g", name="T2xSigma", dual="S",
+        handle_classes=("xa", "yb", "xb", "ya"), lagrangian=("xa", "xb", "ya"),
+        loop_letters=("a", "b"), framings=("product", "product"), torus_complement=True,
+        group=pi1_product_surface,
+        description="surface-quotient block: killing the torus directions leaves "
+        "the genus-g surface group",
+    ),
+}
+
+
 def product_T2_Sigma_g(g: int) -> ManifoldRecord:
     """The product of the torus with a genus-g surface, fully marked.
 
     H_2 has rank 4g + 2 in the product basis: the fiber torus T, the
-    surface S, and for each handle the four mixed classes.  The closed
-    Seiberg-Witten element is (t^-1 - t)^(2g-2) in the variable of [T],
-    with relative factor (t^-1 - t)^(2g-1) attached to T for the gluing
-    rule; the exponent bookkeeping of those two seeds is exactly what the
-    fiber-sum composition test pins down.
+    surface S, and for each handle the four mixed classes.
     """
-    if g < 1:
-        raise ValueError("g must be >= 1")
-    basis: list[str] = ["T", "S"]
-    for i in range(1, g + 1):
-        basis.extend((f"xa{i}", f"yb{i}", f"xb{i}", f"ya{i}"))
-    b2 = len(basis)
-    form = direct_sum(*([hyperbolic_pair()] * (2 * g + 1)))
-    sw = u_factor(b2, unit_vector(b2, 0)) ** (2 * g - 2)
-    pi1 = pi1_product_surface(g)
-    complement_pres = GroupPresentation(pi1.generators, pi1.relators[:-1])
-    meridian = word_to_text(pi1.relators[-1], pi1.generators)
-    marks: list[MarkedSubmanifold] = [
-        MarkedSubmanifold(
-            kind="torus",
-            label="T",
-            homology_class=unit_vector(b2, 0),
-            pi1_words=("x", "y"),
-            framing="product",
-            flags=frozenset({"self_intersection_zero", "symplectic"}),
-            complement=(complement_pres.to_text(), meridian),
-        )
-    ]
-    for i in range(1, g + 1):
-        base = 2 + 4 * (i - 1)
-        for offset, label, words in (
-            (0, f"xa{i}", ("x", f"a{i}")),
-            (2, f"xb{i}", ("x", f"b{i}")),
-            (3, f"ya{i}", ("y", f"a{i}")),
-        ):
-            marks.append(
-                MarkedSubmanifold(
-                    kind="torus",
-                    label=label,
-                    homology_class=unit_vector(b2, base + offset),
-                    pi1_words=words,
-                    framing="lagrangian",
-                    flags=frozenset({"self_intersection_zero", "lagrangian"}),
-                )
-            )
-    for i in range(1, g + 1):
-        marks.append(
-            MarkedSubmanifold(
-                kind="loop",
-                label=f"loop_a{i}",
-                homology_class=None,
-                pi1_words=(f"a{i}",),
-                framing="product",
-            )
-        )
-        marks.append(
-            MarkedSubmanifold(
-                kind="loop",
-                label=f"loop_b{i}",
-                homology_class=None,
-                pi1_words=(f"b{i}",),
-                framing="product",
-            )
-        )
-    return ManifoldRecord(
-        name=f"T2xSigma{g}",
-        pi1=pi1,
-        euler=0,
-        form=form,
-        basis=tuple(basis),
-        sw=sw,
-        sw_reason="tracked",
-        marks=tuple(marks),
-        rel_tori=frozenset({"T"}),
-        trace=(
-            {"op": "base", "constructor": "product_T2_Sigma_g", "args": {"g": g}},
-        ),
-    )
+    return GROUP_BLOCKS["surface"].build(g)
 
 
 def kodaira_thurston_block(g: int) -> ManifoldRecord:
@@ -626,68 +653,9 @@ def kodaira_thurston_block(g: int) -> ManifoldRecord:
     The fundamental group is the circle-times-mapping-torus group whose
     quotient by the two torus directions x, y is free of rank g.  H_2 has
     rank 2g + 2: the symplectic torus T = x x y with a dual F, and one
-    hyperbolic pair of Lagrangian classes per handle.  Seiberg-Witten
-    seeds match the product block: (t^-1 - t)^(2g-2) closed, relative
-    factor (t^-1 - t)^(2g-1) on T, so iterated fiber sums of the g = 1
-    block reproduce the g > 1 blocks at the tracked-invariant level.
+    hyperbolic pair of Lagrangian classes per handle.
     """
-    if g < 1:
-        raise ValueError("g must be >= 1")
-    basis: list[str] = ["T", "F"]
-    for i in range(1, g + 1):
-        basis.extend((f"xb{i}", f"ya{i}"))
-    b2 = len(basis)
-    form = direct_sum(*([hyperbolic_pair()] * (g + 1)))
-    sw = u_factor(b2, unit_vector(b2, 0)) ** (2 * g - 2)
-    marks: list[MarkedSubmanifold] = [
-        MarkedSubmanifold(
-            kind="torus",
-            label="T",
-            homology_class=unit_vector(b2, 0),
-            pi1_words=("x", "y"),
-            framing="symplectic",
-            flags=frozenset({"self_intersection_zero", "symplectic"}),
-        )
-    ]
-    for i in range(1, g + 1):
-        marks.append(
-            MarkedSubmanifold(
-                kind="torus",
-                label=f"xb{i}",
-                homology_class=unit_vector(b2, 2 + 2 * (i - 1)),
-                pi1_words=("x", f"b{i}"),
-                framing="lagrangian",
-                flags=frozenset({"self_intersection_zero", "lagrangian"}),
-            )
-        )
-    for i in range(1, g + 1):
-        marks.append(
-            MarkedSubmanifold(
-                kind="loop",
-                label=f"loop_b{i}",
-                homology_class=None,
-                pi1_words=(f"b{i}",),
-                framing="lagrangian",
-            )
-        )
-    return ManifoldRecord(
-        name=f"N{g}",
-        pi1=pi1_Ng(g),
-        euler=0,
-        form=form,
-        basis=tuple(basis),
-        sw=sw,
-        sw_reason="tracked",
-        marks=tuple(marks),
-        rel_tori=frozenset({"T"}),
-        trace=(
-            {
-                "op": "base",
-                "constructor": "kodaira_thurston_block",
-                "args": {"g": g},
-            },
-        ),
-    )
+    return GROUP_BLOCKS["free"].build(g)
 
 
 # -- admissible input manifolds --------------------------------------------------
@@ -827,10 +795,14 @@ def admissible_from_spec(spec_text: str) -> ManifoldRecord:
     )
 
 
-# constructor -> (the function, the base step's args it takes: name -> JSON type)
+# The largest genus a base step may ask replay to build; no recipe writes more.
+MAX_GENUS = 32
+
+# constructor -> (the function, the base step's args it takes: name -> JSON
+# type, or the range an int must lie in)
 BASE_CONSTRUCTORS = {
     "standard_block": (standard_block, {"name": str}),
-    "product_T2_Sigma_g": (product_T2_Sigma_g, {"g": int}),
-    "kodaira_thurston_block": (kodaira_thurston_block, {"g": int}),
+    "product_T2_Sigma_g": (product_T2_Sigma_g, {"g": range(1, MAX_GENUS + 1)}),
+    "kodaira_thurston_block": (kodaira_thurston_block, {"g": range(1, MAX_GENUS + 1)}),
     "admissible_from_spec": (lambda spec: admissible_from_spec(json.dumps(spec)), {"spec": dict}),
 }

@@ -24,13 +24,14 @@ from dataclasses import dataclass
 from .groupring import GroupRingElement, to_text as ring_to_text, unit_collisions
 from .grouppres import (
     GroupPresentation,
-    pi1_Ng,
     recognize_free,
     recognize_surface,
 )
 from .knots import KnotRecord, braid_to_text, knot_from_spec
 from .lattice import indefinite_unimodular_iso, invariants
 from .manifold import (
+    GROUP_BLOCKS,
+    MAX_GENUS,
     ManifoldRecord,
     ObjectMismatch,
     ObjectStore,
@@ -46,6 +47,7 @@ from .manifold import (
 from .surgery import (
     ReplayTrie,
     SurgeryError,
+    _step_fields,
     _zero_log_transform,
     build_from_trace,
     connected_sum,
@@ -150,10 +152,12 @@ class RecipeConfig:
     knots: tuple[KnotRecord, ...]
 
     def __post_init__(self) -> None:
-        if self.group_kind not in ("free", "surface"):
+        if self.group_kind not in GROUP_BLOCKS:
             raise ConfigError(f"group kind must be free or surface, got {self.group_kind!r}")
         if self.genus < 1:
             raise ConfigError(f"genus must be >= 1, got {self.genus}")
+        if self.genus > MAX_GENUS:
+            raise ConfigError(f"genus must be <= {MAX_GENUS}, got {self.genus}")
         if not self.knots:
             raise ConfigError("knot family is empty")
         first = self.knots[0]
@@ -169,7 +173,7 @@ class RecipeConfig:
 
     @property
     def loop_count(self) -> int:
-        return self.genus if self.group_kind == "free" else 2 * self.genus
+        return len(_loop_labels(self))
 
 
 def parse_group_arg(text: str) -> tuple[str, int]:
@@ -350,24 +354,14 @@ def validate_certificate_partition(report: dict, store: ObjectStore | None = Non
 # -- the recipe --------------------------------------------------------------------
 
 
-def _group_block(cfg: RecipeConfig) -> ManifoldRecord:
-    if cfg.group_kind == "free":
-        return kodaira_thurston_block(cfg.genus)
-    return product_T2_Sigma_g(cfg.genus)
-
-
 def _loop_labels(cfg: RecipeConfig) -> tuple[str, ...]:
-    if cfg.group_kind == "free":
-        return tuple(f"loop_b{i}" for i in range(1, cfg.genus + 1))
-    a = tuple(f"loop_a{i}" for i in range(1, cfg.genus + 1))
-    b = tuple(f"loop_b{i}" for i in range(1, cfg.genus + 1))
-    return a + b
+    return GROUP_BLOCKS[cfg.group_kind].loop_labels(cfg.genus)
 
 
 def _spec(base: ManifoldRecord) -> dict:
     """The spec document a base record was built from: its base step's,
     parsed once by `admissible_from_spec`."""
-    return base.trace[0]["args"]["spec"]
+    return _step_fields("base", base.trace[0], {"args": {"spec": dict}})["args"]["spec"]
 
 
 def _recipe_records(cfg: RecipeConfig) -> dict[str, ManifoldRecord]:
@@ -377,7 +371,7 @@ def _recipe_records(cfg: RecipeConfig) -> dict[str, ManifoldRecord]:
     ``parent`` is the longest proper prefix stored before it."""
     base = admissible_from_spec(cfg.spec_text)
     roles = _spec(base)["admissible"]
-    block = _group_block(cfg)
+    block = GROUP_BLOCKS[cfg.group_kind].build(cfg.genus)
     records = {"M": base, "B_G": block}
     for knot in cfg.knots:
         z = fiber_sum(knot_surgery(base, roles["T1"], knot), roles["T2"], block, "T")
@@ -918,7 +912,7 @@ def verify_lemma_suite(gmax: int) -> dict:
             )
         )
 
-        checks.append(lemma_free_quotient(pi1_Ng(g), g))
+        checks.append(lemma_free_quotient(block.pi1, g))
 
         # iterated fiber sum of g copies of the g=1 block matches the
         # direct constructor, tracked invariants and sw alike

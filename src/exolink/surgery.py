@@ -499,7 +499,10 @@ def _belt_step(m: ManifoldRecord, sphere_label: str) -> int:
     if mark.kind != "sphere_link_component":
         raise SurgeryError(f"{sphere_label!r} is not a sphere-link component")
     for i, step in enumerate(m.trace):
-        if step.get("op") == "loop_surgery" and f"belt[{step['loop']}]" == sphere_label:
+        if _step_fields("trace", step, {"op": str})["op"] != "loop_surgery":
+            continue
+        loop = _step_fields("loop_surgery", step, {"loop": str})["loop"]
+        if f"belt[{loop}]" == sphere_label:
             return i
     raise SurgeryError(
         f"component {sphere_label!r} lacks reverse-trace data; it was not "
@@ -684,9 +687,9 @@ def _replay_base(_record, _step, constructor: str, args: dict) -> ManifoldRecord
     return build(**_step_fields("base", args, fields))
 
 
-# op -> (its replay, the step fields the replay reads: name -> exact JSON type,
-# or the fields of a nested object).  A replay takes the record so far, the
-# step and those fields in order, with ``other_trace`` already replayed.
+# op -> (its replay, the fields it reads: name -> exact JSON type, an int's
+# range, or a nested object's fields).  A replay takes the record so far,
+# the step and those fields in order, with ``other_trace`` already replayed.
 _REPLAY = {
     "base": (_replay_base, {"constructor": str, "args": dict}),
     "knot_surgery": (
@@ -707,16 +710,21 @@ _REPLAY = {
 }
 
 
-def _step_fields(op: str, data: dict, fields: dict) -> dict:
+def _step_fields(op: str, data, fields: dict) -> dict:
     """``fields`` (see `_REPLAY`) read from ``data``, a step of ``op`` or an object in it."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a trace step must be an object, got {type(data).__name__}")
     values = {}
     for name, kind in fields.items():
+        json_type = dict if isinstance(kind, dict) else int if isinstance(kind, range) else kind
         try:
-            value = _typed(data, name, dict if isinstance(kind, dict) else kind)
+            value = _typed(data, name, json_type)
         except KeyError as exc:
             raise ValueError(f"{op} step: missing field {name!r}") from exc
         except TypeError as exc:
             raise ValueError(f"{op} step: {exc}") from exc
+        if isinstance(kind, range) and value not in kind:
+            raise ValueError(f"{op} step: {name!r} must be in {kind[0]}..{kind[-1]}, got {value}")
         values[name] = _step_fields(op, value, kind) if isinstance(kind, dict) else value
     return values
 
@@ -726,12 +734,10 @@ def _replay_step(record: ManifoldRecord | None, step, memo: ReplayTrie) -> Manif
 
     The step replays through its op's row of `_REPLAY`, whose fields are all
     read before the operation runs.  A step that is not an object, names no
-    known op, is a base step but not the first, or has a field missing or
-    of the wrong type raises one ValueError naming the op and the field;
-    what the operation raises passes through as is.
+    known op, is a base step but not the first, or has a field missing, of
+    the wrong type or out of its range raises one ValueError naming the op
+    and the field; what the operation raises passes through as is.
     """
-    if not isinstance(step, dict):
-        raise ValueError(f"a trace step must be an object, got {type(step).__name__}")
     op = _step_fields("trace", step, {"op": str})["op"]
     if op not in _REPLAY:
         raise ValueError(f"unknown trace op {op!r}")

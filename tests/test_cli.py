@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -303,6 +304,20 @@ MALFORMED_STEPS = {
     "word an int": ([_BASE, {**_LOOP, "word": 1}], "loop_surgery step: 'word' must be str"),
     "op missing": ([_BASE, _without(_LOOP, "op")], "trace step: missing field 'op'"),
     "op unknown": ([_BASE, {"op": "bogus"}], "unknown trace op 'bogus'"),
+    # replay would build a block of any genus a base step names, in time and
+    # memory growing with g; it keeps the bound that `recipe run` keeps
+    "g past the bound": (
+        [{"op": "base", "constructor": "product_T2_Sigma_g", "args": {"g": 10**6}}],
+        "base step: 'g' must be in 1..32, got 1000000",
+    ),
+    "g zero": (
+        [{"op": "base", "constructor": "kodaira_thurston_block", "args": {"g": 0}}],
+        "base step: 'g' must be in 1..32, got 0",
+    ),
+    "g a string": (
+        [{"op": "base", "constructor": "kodaira_thurston_block", "args": {"g": "2"}}],
+        "base step: 'g' must be int, got str",
+    ),
 }
 
 
@@ -343,6 +358,16 @@ def test_verify_trace_bad_file_exits_2(tmp_path, capsys):
         assert result["pass"] is False
         assert named in result["records"]["a"]["error"]
         assert "Traceback" not in captured.out + captured.err
+
+
+def test_base_step_past_the_genus_bound_is_refused_at_once(tmp_path, capsys):
+    steps = MALFORMED_STEPS["g past the bound"][0]
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"records": {"B_G": {"trace": steps}}}), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["verify-trace", str(report)]) == 1
+    assert time.perf_counter() - start < 1
+    assert "'g' must be in 1..32" in json.loads(capsys.readouterr().out)["records"]["B_G"]["error"]
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_STEPS))
@@ -552,6 +577,7 @@ BAD_INPUT_CASES = {
     "spec-not-utf8": (["recipe", "run", "--spec", "{tmp}/not_utf8.json"], "cannot read spec file"),
     "spec-not-json": (["recipe", "run", "--spec", "{tmp}/not_json.json"], "spec is not valid JSON"),
     "group-no-genus": (["recipe", "run", "--group", "free"], "free:G or surface:G"),
+    "group-past-bound": (["recipe", "run", "--group", "free:33"], "genus must be <= 32, got 33"),
     "knots-list-link": (
         ["recipe", "run", "--knots", "a=2: s1^2"],
         "closure has 2 components; need a knot",

@@ -300,6 +300,16 @@ def test_loop_count_tracks_group_kind():
     assert make_config(1, kind="surface", genus=2).loop_count == 4
 
 
+@pytest.mark.parametrize("genus", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["free", "surface"])
+def test_recipe_surgers_exactly_the_blocks_loops(kind, genus):
+    cfg = make_config(1, kind=kind, genus=genus)
+    block = pipeline._recipe_records(cfg)["B_G"]
+    loops = {mark.label for mark in block.marks if mark.kind == "loop"}
+    assert set(pipeline._loop_labels(cfg)) == loops
+    assert cfg.loop_count == len(loops)
+
+
 def test_parse_group_and_knot_args():
     assert parse_group_arg("free:2") == ("free", 2)
     assert parse_group_arg("surface:1") == ("surface", 1)

@@ -4,7 +4,9 @@ Four configurations are pinned: the README's (the even base under a free
 group block), the bench configuration (the even base under the rank-4 free
 block over eleven twist knots), the odd base under the genus-1 product
 block, and a run that fails its SW check because two knots share a braid.
-So are the outputs of `verify lemmas` and `blocks`, which no report holds.
+So are the outputs of `verify lemmas` and `blocks`, which no report holds,
+and, in `PINNED`, the product blocks of genus 2 and 3 on the even base and
+the rank-1 free block on the odd base.
 
 For a fixed configuration a report stays byte-identical unless the report
 format is bumped on purpose, so a change that moves a digest changes what
@@ -16,6 +18,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from exolink.cli import main
 
@@ -36,6 +40,23 @@ BENCH_REPORT_SHA256 = "34e68d8e1eb85293cc7884c0faa3955f9f75373b39aec10beb1da8edf
 BENCH_VERIFY_TRACE_SHA256 = "fe5fd495d2a8b4b085798f4b3b14bcc240c5615f7550134965b2188696018e95"
 LEMMAS_GMAX3_SHA256 = "eb7506d92668c068cb05ad16f7dd51f3798fff3e0dd7d73b3000fa4b7562862a"
 BLOCKS_SHA256 = "9c8357d6fb97b077621f85d2cb35c239fe8483f282334af24ddb830ea18dad1f"
+
+# (spec fixture, --group, --knots) of a `recipe run`
+SURFACE2 = ("M_even.json", "surface:2", "twist:0..4")
+SURFACE3 = ("M_even.json", "surface:3", "twist:0..4")
+ODD_FREE1 = ("M_odd.json", "free:1", "twist:0..10")
+# (configuration, command run on its report, sha256): the command's stdout,
+# or the report itself where the command is `recipe run`
+PINNED = [
+    (SURFACE2, ["recipe", "run"], "ac9c5afd73798c695e203973f179a7dac8916ee3517e614ff8cdf0fd2614613c"),
+    (SURFACE2, ["verify-trace"], "83f5f8bd59dc0979228cf16f13bbf28d545604d328234e1c4c32526ad9ba98cb"),
+    (SURFACE2, ["verify-trace", "--step", "2"], "a98064a7c53f772f0ab8704a446f14bda3a9f1350c61e45467e7f8d3a01537be"),
+    (SURFACE2, ["report", "render"], "9286e9f91ba8a4a4d8dc57e4c5fe9126c76655a7ba76d7692a57a463a7df5adf"),
+    (SURFACE3, ["recipe", "run"], "d71f68ac7093582a704389f9322ed2b3433f40f6a1496852f2ff2763e7b728c2"),
+    (SURFACE3, ["verify-trace"], "ac43f52df78c78f383246682a73b13edfaa8b0097cd3e39ad748bf82394ebc87"),
+    (ODD_FREE1, ["recipe", "run"], "ff4eff4be1087d622e875c6b277924133f265f3efd14f9d44ed4bb507d92b739"),
+    (ODD_FREE1, ["verify-trace"], "ef89000730752ed5024cb1ce7453542cebff9b1cbb25c81bfe7b5a1ac881d967"),
+]
 
 
 def _sha256(data: bytes) -> str:
@@ -111,6 +132,37 @@ def test_lemma_suite_and_blocks_digests(capsys):
     assert _sha256(capsys.readouterr().out.encode("utf-8")) == LEMMAS_GMAX3_SHA256
     assert main(["blocks"]) == 0
     assert _sha256(capsys.readouterr().out.encode("utf-8")) == BLOCKS_SHA256
+
+
+@pytest.fixture(scope="module")
+def report_of(tmp_path_factory):
+    """The report file of a configuration, written once per module."""
+    written = {}
+
+    def report(config) -> Path:
+        if config not in written:
+            spec, group, knots = config
+            out = tmp_path_factory.mktemp("report") / "report.json"
+            argv = ["recipe", "run", "--spec", str(REPO_ROOT / "fixtures" / spec),
+                    "--group", group, "--knots", knots, "--out", str(out)]
+            assert main(argv) == 0
+            written[config] = out
+        return written[config]
+
+    return report
+
+
+@pytest.mark.parametrize(
+    "config, command, digest", PINNED, ids=[f"{c[1]}-{' '.join(a)}" for c, a, _ in PINNED]
+)
+def test_pinned_digests(report_of, capsys, config, command, digest):
+    report = report_of(config)
+    capsys.readouterr()
+    if command == ["recipe", "run"]:
+        assert _sha256(report.read_bytes()) == digest
+        return
+    assert main([*command, str(report)]) == 0
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == digest
 
 
 def test_readme_report_ignores_the_hash_seed():

@@ -1,4 +1,5 @@
 """Surgery operations: SW transformation, gluing, loop/sphere duality, replay."""
+import dataclasses
 import hashlib
 import json
 
@@ -20,7 +21,7 @@ from exolink.manifold import (
     same_json,
     standard_block,
 )
-from exolink.pipeline import verify_trace_report
+from exolink.pipeline import _spec, verify_trace_report
 from exolink.surgery import (
     SurgeryError,
     build_from_trace,
@@ -340,6 +341,56 @@ def test_sphere_surgery_batch_rejects_bad_labels():
         sphere_surgery(summed, "belt[loop_b2]")
     with pytest.raises(SurgeryError, match="lacks reverse-trace data"):
         sphere_surgery(summed, "belt[loop_b1]", "belt[loop_b2]")
+
+
+_LOOP_STEP = {"op": "loop_surgery", "loop": "loop_b1", "word": "b1", "nullhomotopic": False}
+
+
+# case -> (the reader, the index of the step it meets edited, that step, what
+# its ValueError must name); "sphere" undoes the one loop surgery of N_1 with
+# loop_b1 surgered, "spec" reads the spec of the even base
+STEP_READS = {
+    "loop missing": (
+        "sphere", 1, {k: v for k, v in _LOOP_STEP.items() if k != "loop"},
+        "loop_surgery step: missing field 'loop'",
+    ),
+    "loop an int": ("sphere", 1, {**_LOOP_STEP, "loop": 1}, "loop_surgery step: 'loop' must be str"),
+    "base step an int": ("sphere", 0, 5, "a trace step must be an object, got int"),
+    "loop step a list": ("sphere", 1, [], "a trace step must be an object, got list"),
+    "args missing": (
+        "spec", 0, {"op": "base", "constructor": "admissible_from_spec"},
+        "base step: missing field 'args'",
+    ),
+    "spec missing": (
+        "spec", 0, {"op": "base", "constructor": "admissible_from_spec", "args": {}},
+        "base step: missing field 'spec'",
+    ),
+    "spec a list": (
+        "spec", 0, {"op": "base", "constructor": "admissible_from_spec", "args": {"spec": []}},
+        "base step: 'spec' must be dict, got list",
+    ),
+    "base step a string": ("spec", 0, "base", "a trace step must be an object, got str"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEP_READS))
+def test_step_reads_outside_replay_raise_value_error(case):
+    # a record's own steps are read through the same field table as replay,
+    # not by hand, so a malformed one is the one ValueError naming op and field
+    reader, index, step, named = STEP_READS[case]
+    if reader == "sphere":
+        record = loop_surgery(kodaira_thurston_block(1), "loop_b1")
+    else:
+        record = even_base()
+    trace = list(record.trace)
+    trace[index] = step
+    record = dataclasses.replace(record, trace=tuple(trace))
+    with pytest.raises(ValueError) as failure:
+        if reader == "sphere":
+            sphere_surgery(record, "belt[loop_b1]")
+        else:
+            _spec(record)
+    assert named in str(failure.value)
 
 
 def test_connected_sum_arithmetic():
